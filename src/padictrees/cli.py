@@ -15,10 +15,10 @@ from .datum import TreeDatum, expand
 from .enum_trees import No, Unknown, Yes, lifted_tree, naive_tree
 from .errors import PadicTreesError
 from .padic import Certified
-from .poincare import compare, datum_poincare, expand_series
+from .poincare import datum_poincare
 from .polysys import PolySystem
-from .ratfun import RationalGF
-from .realize import RealizationContext, realize, verify_realization
+from .ratfun import expand_series
+from .realize import realize, verify_realization
 from .trees import TruncTree, is_isomorphic, poincare_coeffs, to_dot
 
 __all__ = ["main", "build_parser"]
@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="output rendering",
         )
         sp.add_argument("--node-budget", type=int, default=10**7)
-        sp.add_argument("--seed", type=int, default=0, help="accepted for reproducibility; unused by deterministic commands")
         if depth:
             sp.add_argument("--depth", type=int, required=True, help="truncation depth")
 

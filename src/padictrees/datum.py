@@ -27,7 +27,6 @@ from .gamma import (
     GammaCell,
     GammaSet,
     LinearFn,
-    cell_members,
     const_fn,
     eval_linear,
     linear,
@@ -283,17 +282,23 @@ def _branch_from_json(item: dict) -> SideBranchDatum:
     return SideBranchDatum(tuple(item["fintree"]), leaf_data)
 
 
-def joint_depth(D: TreeDatum, joint: int, kappa=()):
-    """Depth of a joint: the sum of bone lengths on the path from the root."""
-    total = 0
+def joint_depth_fn(D: TreeDatum, joint: int):
+    """Depth of a joint as a LinearFn of the parameters: the sum of the bone
+    lengths on the path from the root; INFINITY behind an infinite bone."""
+    total = const_fn(0, D.m)
     j = joint
     while j != 0:
         ln = D.skeleton.lengths[j - 1]
         if ln is INFINITY:
             return INFINITY
-        total += eval_linear(ln, kappa)
+        total = total + ln
         j = D.skeleton.parents[j]
     return total
+
+
+def joint_depth(D: TreeDatum, joint: int, kappa=()):
+    """Depth of a joint at the parameter point kappa."""
+    return eval_linear(joint_depth_fn(D, joint), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +537,12 @@ def validate(D: TreeDatum, require_normal=False, span=8) -> list[str]:
     # piece coverage and disjointness of each N_e
     for j in range(1, D.skeleton.num_joints):
         pieces = D.bone_pieces(j)
+        lo_fn = joint_depth_fn(D, D.skeleton.parents[j])
+        ln = D.skeleton.lengths[j - 1]
+        if lo_fn is INFINITY:
+            continue
         for kappa in samples:
-            lo = joint_depth(D, D.skeleton.parents[j], kappa)
-            ln = D.skeleton.lengths[j - 1]
-            if lo is INFINITY:
-                continue
+            lo = eval_linear(lo_fn, kappa)
             hi = lo + (span + 1 if ln is INFINITY else eval_linear(ln, kappa))
             for lam in range(lo + 1, min(hi, lo + span + 1)):
                 hits = sum(piece.contains(kappa + (lam,)) for piece, _ in pieces)

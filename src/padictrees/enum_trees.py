@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
 
 from .errors import DomainError, NodeBudgetExceeded
 from .padic import Certified, newton_certify, pval, vec
-from .polysys import PolySystem
-from .trees import Ball, Cheese, TruncTree, cheese_restrict, empty_tree
+from .polysys import PolySystem, shift_scale
+from .trees import Ball, Cheese, TruncTree, cheese_restrict, empty_tree, restrict
 
 __all__ = [
     "Yes",
@@ -151,54 +150,6 @@ def naive_tree(sys: PolySystem, depth_cap: int, node_budget: int = 10**7) -> Tru
     return TruncTree(depth_cap, parents, labels=labels)
 
 
-def _subst_polys(polys, shift, scale, mod=None):
-    """Sparse polynomials of g(t) = f(shift + scale*t), coefficients
-    reduced mod `mod` when given; zero polynomials are dropped to ()."""
-    out = []
-    n = len(shift)
-    for poly in polys:
-        acc: dict[tuple[int, ...], int] = {}
-        for c, exps in poly:
-            exps = tuple(exps) + (0,) * (n - len(exps))
-            terms = [(c, ())]
-            for e, s in zip(exps, shift):
-                new = []
-                for cc, built in terms:
-                    for k in range(e + 1):
-                        new.append(
-                            (cc * comb(e, k) * s ** (e - k) * scale**k, built + (k,))
-                        )
-                terms = new
-            for cc, ee in terms:
-                acc[ee] = acc.get(ee, 0) + cc
-        items = []
-        for ee, cc in acc.items():
-            cc = cc % mod if mod is not None else cc
-            if cc:
-                items.append((cc, ee))
-        out.append(tuple(sorted(items, key=lambda t: t[1])))
-    return tuple(out)
-
-
-def _subst_one(poly, shift, scale, mod):
-    """One polynomial of _subst_polys."""
-    acc: dict[tuple[int, ...], int] = {}
-    for c, exps in poly:
-        terms = [(c, ())]
-        for e, s in zip(exps, shift):
-            new = []
-            for cc, built in terms:
-                for k in range(e + 1):
-                    new.append(
-                        (cc * comb(e, k) * s ** (e - k) * scale**k, built + (k,))
-                    )
-            terms = new
-        for cc, ee in terms:
-            acc[ee] = acc.get(ee, 0) + cc
-    items = [(cc % mod, ee) for ee, cc in acc.items()]
-    return tuple(sorted(((cc, ee) for cc, ee in items if cc), key=lambda t: t[1]))
-
-
 def _norm_state(polys_k, p):
     """Canonical search state: each equation g = 0 mod p^K is divided by
     its p-content (same solutions at a smaller modulus) and reduced; this
@@ -263,7 +214,7 @@ def _alive(state, p: int, n: int, memo: dict, budget: list) -> bool:
         if not ok:
             continue
         child = _norm_state(
-            [(_subst_one(poly, d, p, p**K), K) for poly, K in state], p
+            [(shift_scale(poly, d, p, p**K), K) for poly, K in state], p
         )
         if _alive(child, p, n, memo, budget):
             result = True
@@ -275,7 +226,7 @@ def _alive(state, p: int, n: int, memo: dict, budget: list) -> bool:
 class _Lifter:
     """Shared state for one lifted_tree computation."""
 
-    def __init__(self, sys, depth_cap, delta, node_budget, search_budget):
+    def __init__(self, sys, depth_cap, delta, node_budget):
         self.sys = sys
         self.p = sys.p
         self.cap = depth_cap
@@ -287,14 +238,14 @@ class _Lifter:
         self.alive_memo: dict = {}
         self.alive_budget = [node_budget]
         self.status: dict = {}
-        self.search_budget = search_budget
         self.wit_cache: dict = {}
 
     def _alive_at(self, label, depth, target) -> bool:
         if depth >= target:
             return True
-        g = _subst_polys(self.sys.polys, label, self.p**depth, self.p**target)
-        state = _norm_state([(q, target) for q in g], self.p)
+        scale, mod = self.p**depth, self.p**target
+        g = [(shift_scale(f, label, scale, mod), target) for f in self.sys.polys]
+        state = _norm_state(g, self.p)
         return _alive(state, self.p, self.sys.n, self.alive_memo, self.alive_budget)
 
     def _death_depth(self, label, depth, target) -> int:
@@ -407,7 +358,7 @@ def lifted_tree(
     if delta < 0:
         raise DomainError("negative certification budget")
     naive = naive_tree(sys, depth_cap, node_budget)
-    lifter = _Lifter(sys, depth_cap, delta, node_budget, search_budget)
+    lifter = _Lifter(sys, depth_cap, delta, node_budget)
     for depth in range(depth_cap + 1):
         for lab in naive.labels[depth]:
             lifter.resolve(tuple(lab), depth, [search_budget])
@@ -427,25 +378,10 @@ def lifted_tree(
     root = (0,) * sys.n
     if not isinstance(statuses[(0, root)], Yes):
         return empty_tree(depth_cap), reported
-    parents, labels = [], [[root]]
-    keep_prev = {}
-    for idx, lab in enumerate(naive.labels[0]):
-        keep_prev[idx] = 0
-    for depth in range(1, depth_cap + 1):
-        layer_par, layer_lab = [], []
-        keep_cur = {}
-        for idx, lab in enumerate(naive.labels[depth]):
-            par = naive.parents[depth - 1][idx]
-            if par not in keep_prev:
-                continue
-            if isinstance(statuses[(depth, tuple(lab))], Yes):
-                keep_cur[idx] = len(layer_par)
-                layer_par.append(keep_prev[par])
-                layer_lab.append(lab)
-        parents.append(layer_par)
-        labels.append(layer_lab)
-        keep_prev = keep_cur
-    return TruncTree(depth_cap, parents, labels=labels), reported
+    t = restrict(
+        naive, lambda d, i: isinstance(statuses[(d, tuple(naive.labels[d][i]))], Yes)
+    )
+    return t, reported
 
 
 def _reduce_content(poly, p):
@@ -461,7 +397,7 @@ def _ball_system(sys: PolySystem, ball: Ball) -> PolySystem:
     """The system g(t) = f(center + p^radius t); no division happens, the
     rescale is bookkeeping on residues."""
     p, r = sys.p, ball.radius
-    polys = _subst_polys(sys.polys, ball.center, p**r)
+    polys = (shift_scale(f, ball.center, p**r) for f in sys.polys)
     polys = tuple(_reduce_content(q, p) for q in polys if q)
     pr = p**r
     ws = []

@@ -56,11 +56,20 @@ class LinearFn:
             raise DomainError("point has too few coordinates")
         total = Fraction(self.const)
         for a, k in zip(self.coeffs, point):
-            total += a * k
+            if a:
+                total += a * k
         return total
 
     def is_constant(self) -> bool:
         return all(a == 0 for a in self.coeffs)
+
+    def __add__(self, other: "LinearFn") -> "LinearFn":
+        """Sum; the shorter coefficient tuple is padded with zeros."""
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        coeffs = tuple(x + y for x, y in zip(a, b)) + a[len(b) :]
+        return LinearFn(coeffs, self.const + other.const)
 
     def __str__(self):
         parts = []
@@ -265,16 +274,24 @@ def _intersect_1d(c1, c2) -> bool:
     lo = max(ceil(lo1.const), ceil(lo2.const))
     his = [_floor(h.const) for h in (hi1, hi2) if h is not INFINITY]
     hi = min(his) if his else None
-    (r1, rho1), (r2, rho2) = c1.cong[0], c2.cong[0]
-    g = gcd(rho1, rho2)
-    if (r1 - r2) % g != 0:
+    merged = merge_cong(c1.cong[0], c2.cong[0])
+    if merged is None:
         return False
-    # CRT: solutions form one class mod lcm
-    mod = lcm(rho1, rho2)
-    t = (r2 - r1) // g * pow(rho1 // g, -1, rho2 // g) % (rho2 // g) if rho2 // g > 1 else 0
-    r = (r1 + rho1 * t) % mod
+    r, mod = merged
     first = lo + (r - lo) % mod
     return hi is None or first <= hi
+
+
+def merge_cong(c1, c2):
+    """CRT of two congruences (r, rho); the merged (r, lcm) or None if they
+    are incompatible."""
+    (r1, rho1), (r2, rho2) = c1, c2
+    g = gcd(rho1, rho2)
+    if (r1 - r2) % g != 0:
+        return None
+    mod = lcm(rho1, rho2)
+    t = (r2 - r1) // g * pow(rho1 // g, -1, rho2 // g) % (rho2 // g) if rho2 > g else 0
+    return ((r1 + rho1 * t) % mod, mod)
 
 
 def cell_members(c: GammaCell, box, floor=0):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -19,21 +18,20 @@ from .errors import (
     InvalidDatum,
     NotNormal,
 )
-from .datum import TERMINAL, TreeDatum, joint_depth, validate
+from .datum import TERMINAL, TreeDatum, joint_depth_fn, validate
 from .gamma import (
     INFINITY,
     GammaCell,
     GammaSet,
-    LinearFn,
     cell_gf,
     cell_members,
     members,
+    merge_cong,
 )
 from .ratfun import (
     RationalGF,
     expand_series,
     gf_add,
-    gf_equal,
     gf_mul,
     gf_monomial,
     gf_zero,
@@ -42,12 +40,6 @@ from .ratfun import (
 from .trees import TruncTree, poincare_coeffs
 
 __all__ = [
-    "RationalGF",
-    "gf_add",
-    "gf_mul",
-    "gf_equal",
-    "substitute",
-    "expand_series",
     "datum_poincare",
     "compare",
     "CompareReport",
@@ -75,36 +67,6 @@ def _rename(f: RationalGF, variables) -> RationalGF:
 
 def _z_power(k: int, variables) -> RationalGF:
     return gf_monomial(variables, (k,) + (0,) * (len(variables) - 1))
-
-
-def _joint_depth_fn(D: TreeDatum, j: int) -> LinearFn:
-    """Depth of a real joint as a LinearFn over the datum's parameters."""
-    coeffs = [Fraction(0)] * D.m
-    const = Fraction(0)
-    while j != 0:
-        ln = D.skeleton.lengths[j - 1]
-        if ln is INFINITY:
-            raise InvalidDatum("real joint behind an infinite bone")
-        for i, a in enumerate(ln.coeffs):
-            coeffs[i] += a
-        const += ln.const
-        j = D.skeleton.parents[j]
-    return LinearFn(tuple(coeffs), const)
-
-
-def _merge_cong(c1, c2):
-    """CRT of two congruence conditions; None if incompatible."""
-    from math import gcd, lcm
-
-    (r1, rho1), (r2, rho2) = c1, c2
-    g = gcd(rho1, rho2)
-    if (r1 - r2) % g != 0:
-        return None
-    mod = lcm(rho1, rho2)
-    if rho2 // g == 1:
-        return (r1 % mod, mod)
-    t = (r2 - r1) // g * pow(rho1 // g, -1, rho2 // g) % (rho2 // g)
-    return ((r1 + rho1 * t) % mod, mod)
 
 
 def _merge_bound(b1, b2, what):
@@ -141,7 +103,7 @@ def _restrict_piece(piece: GammaCell, c: GammaCell, m_d: int):
     cong = []
     for i in range(m_d):
         bounds.append(_merge_bound(piece.bounds[i], c.bounds[i], f"coord {i + 1}"))
-        merged = _merge_cong(piece.cong[i], c.cong[i])
+        merged = merge_cong(piece.cong[i], c.cong[i])
         if merged is None:
             return None
         cong.append(merged)
@@ -155,7 +117,7 @@ def _restrict_piece(piece: GammaCell, c: GammaCell, m_d: int):
 
 def _check_piece_in_strip(D: TreeDatum, j: int, piece: GammaCell, span=8):
     """Sampled check that a bone piece stays strictly between its joints."""
-    lo_fn = _joint_depth_fn(D, D.skeleton.parents[j])
+    lo_fn = joint_depth_fn(D, D.skeleton.parents[j])
     ln = D.skeleton.lengths[j - 1]
     for pt in cell_members(piece, [span] * piece.m)[:60]:
         kappa, lam = pt[: D.m], pt[D.m]
@@ -190,7 +152,7 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int) -> RationalGF:
     variables = _vars(m_tot)
     total = gf_zero(variables)
     for j in D.skeleton.real_joints():
-        d_fn = _joint_depth_fn(D, j)
+        d_fn = joint_depth_fn(D, j)
         shifted = GammaSet(
             tuple(
                 GammaCell(c.bounds + ((d_fn, d_fn),), c.cong + ((0, 1),))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .errors import DomainError
 
@@ -45,6 +46,12 @@ class PolySystem:
             raise DomainError("dimension must be >= 1")
         if not self.polys and not self.allow_empty:
             raise DomainError("empty system needs allow_empty=True")
+        for poly in self.polys:
+            for _, exps in poly:
+                if len(exps) > self.n:
+                    raise DomainError(f"exponent vector {exps} is longer than {self.n}")
+                if any(e < 0 for e in exps):
+                    raise DomainError(f"negative exponent in {exps}")
         for w in self.witnesses:
             if len(w) != self.n:
                 raise DomainError("witness has wrong dimension")
@@ -99,7 +106,7 @@ class PolySystem:
 
     def translate(self, shift: tuple[int, ...]) -> "PolySystem":
         """The system g(x) = f(x + shift)."""
-        polys = tuple(_poly_translate(poly, shift, self.n) for poly in self.polys)
+        polys = tuple(shift_scale(poly, shift) for poly in self.polys)
         ws = tuple(tuple(q - s for q, s in zip(w, shift)) for w in self.witnesses)
         return PolySystem(self.p, self.n, polys, ws, self.allow_empty)
 
@@ -150,24 +157,35 @@ def _int_det(mat) -> int:
     return total
 
 
-def _poly_translate(poly: Poly, shift, n) -> Poly:
-    from math import comb
+def shift_scale(poly: Poly, shift, scale: int = 1, mod: int | None = None) -> Poly:
+    """Terms of g(t) = f(shift + scale*t), with coefficients reduced mod
+    `mod` when given, zero terms dropped and terms sorted by exponent.
 
-    out: dict[tuple[int, ...], int] = {}
+    Exponent vectors shorter than len(shift) are padded with zeros.
+    """
+    n = len(shift)
+    acc: dict[tuple[int, ...], int] = {}
     for c, exps in poly:
-        exps = tuple(exps) + (0,) * (n - len(exps))
-        # expand prod (x_j + s_j)^{e_j}
+        if len(exps) < n:
+            exps = tuple(exps) + (0,) * (n - len(exps))
+        # expand prod (s_j + scale t_j)^{e_j}
         terms = [(c, ())]
         for e, s in zip(exps, shift):
+            if not e:  # a factor of 1, the common case in sparse systems
+                terms = [(cc, built + (0,)) for cc, built in terms]
+                continue
             new = []
             for cc, built in terms:
                 for k in range(e + 1):
-                    new.append((cc * comb(e, k) * s ** (e - k), built + (k,)))
+                    new.append(
+                        (cc * comb(e, k) * s ** (e - k) * scale**k, built + (k,))
+                    )
             terms = new
         for cc, ee in terms:
-            if cc:
-                out[ee] = out.get(ee, 0) + cc
-    return tuple((c, e) for e, c in sorted(out.items()) if c != 0)
+            acc[ee] = acc.get(ee, 0) + cc
+    if mod is not None:
+        return tuple((cc % mod, ee) for ee, cc in sorted(acc.items()) if cc % mod)
+    return tuple((cc, ee) for ee, cc in sorted(acc.items()) if cc)
 
 
 def make_system(p: int, n: int, polys, witnesses=(), allow_empty=False) -> PolySystem:

@@ -9,7 +9,7 @@ polynomial identity, so all arithmetic stays exact.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
 
-from .datum import TERMINAL, TreeDatum, expand, validate
+from .datum import TERMINAL, TreeDatum, expand, joint_depth_fn, validate
 from .errors import (
     DomainError,
     InvalidDatum,
@@ -145,21 +145,6 @@ def u_fn(ell: LinearFn, x: PadicVec, ctx: RealizationContext | None = None) -> P
 # ---------------------------------------------------------------------------
 
 
-def _depth_fn(D: TreeDatum, j: int) -> LinearFn:
-    """Depth of a real joint as a LinearFn of the datum parameters."""
-    coeffs = [Fraction(0)] * D.m
-    const = Fraction(0)
-    while j != 0:
-        ln = D.skeleton.lengths[j - 1]
-        if ln is INFINITY:
-            raise InvalidDatum("depth of a joint behind an infinite bone")
-        for i, a in enumerate(ln.coeffs):
-            coeffs[i] += a
-        const += ln.const
-        j = D.skeleton.parents[j]
-    return LinearFn(tuple(coeffs), const)
-
-
 def _meet(parents, i: int, j: int) -> int:
     anc = set()
     a = i
@@ -176,7 +161,7 @@ def _meet(parents, i: int, j: int) -> int:
 
 def separating_depth(D: TreeDatum, i: int, j: int) -> LinearFn:
     """Depth of the deepest common ancestor of joints i and j."""
-    return _depth_fn(D, _meet(D.skeleton.parents, i, j))
+    return joint_depth_fn(D, _meet(D.skeleton.parents, i, j))
 
 
 def _skeleton_terms(D: TreeDatum):
@@ -192,18 +177,8 @@ def _skeleton_terms(D: TreeDatum):
     for j in range(1, len(parents)):
         a = parents[j]
         i_star = max(i for i in range(j) if _meet(parents, i, j) == a)
-        terms.append(terms[i_star] + ((i_star + 1, _depth_fn(D, a)),))
+        terms.append(terms[i_star] + ((i_star + 1, joint_depth_fn(D, a)),))
     return terms
-
-
-def _add_fns(f: LinearFn, g: LinearFn) -> LinearFn:
-    n = max(len(f.coeffs), len(g.coeffs))
-    coeffs = tuple(
-        (f.coeffs[i] if i < len(f.coeffs) else Fraction(0))
-        + (g.coeffs[i] if i < len(g.coeffs) else Fraction(0))
-        for i in range(n)
-    )
-    return LinearFn(coeffs, f.const + g.const)
 
 
 @dataclass(frozen=True)
@@ -246,7 +221,7 @@ def skeleton_fns(D: TreeDatum, margins=None, ctx=None) -> SkeletonFns:
         )
     terms = _skeleton_terms(D)
     ells = tuple(
-        tuple((slot, _add_fns(d_fn, lam_fn)) for slot, d_fn in t) for t in terms
+        tuple((slot, d_fn + lam_fn) for slot, d_fn in t) for t in terms
     )
     width = max((slot for t in terms for slot, _ in t), default=0)
     return SkeletonFns(D.m, width, ells)
@@ -431,8 +406,8 @@ def _cloud(D, forms, lam_form, xs, lam, rem, dim, ctx, tag, out):
             dw = br.depth_of(leaf)
             yw = centers[leaf]
             rem2 = rem - lam_rel - dw
-            forms2 = (forms + (_add_fns(e_new, neg_lam),))[: side.m]
-            lam_form2 = _add_fns(e_new, const_fn(dw, 0))
+            forms2 = (forms + (e_new + neg_lam,))[: side.m]
+            lam_form2 = e_new + const_fn(dw, 0)
             # samples z = p^ka (1 + p^dw s) give the full unit digit tree
             # below the leaf ball; one s per node suffices since the side
             # fiber varies 1-Lipschitz with z
@@ -453,7 +428,7 @@ def _cloud(D, forms, lam_form, xs, lam, rem, dim, ctx, tag, out):
                     out.append((tuple(row), tg))
 
     for j, br in D.joint_branches:
-        dj = eval_linear(_depth_fn(D, j), kappa_d)
+        dj = eval_linear(joint_depth_fn(D, j), kappa_d)
         attach(j, dj, br, f"j{j}l{dj}")
     for j, piece, br in D.bone_branches:
         for lam_rel in range(1, rem + 1):

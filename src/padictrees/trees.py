@@ -94,13 +94,19 @@ class TruncTree:
 
     @staticmethod
     def from_json(data: dict) -> "TruncTree":
+        if data.get("format") != 1:
+            raise DomainError(f"unsupported tree format {data.get('format')!r}")
         cap = int(data["depth_cap"])
         parents = [[int(i) for i in layer] for layer in data["parents"]]
         labels = data.get("labels")
         if labels is not None:
             labels = [[_label_unjson(l) for l in layer] for layer in labels]
-        empty = len(data["layers"][0]) == 0 if data.get("layers") else False
-        return TruncTree(cap, parents, labels=labels, empty=empty)
+        layers = data.get("layers")
+        empty = len(layers[0]) == 0 if layers else False
+        t = TruncTree(cap, parents, labels=labels, empty=empty)
+        if layers is not None and [len(l) for l in layers] != t.layer_sizes():
+            raise DomainError("layers contradict parents")
+        return t
 
     @staticmethod
     def load(path: str) -> "TruncTree":
@@ -134,8 +140,11 @@ def path_tree(depth_cap: int) -> TruncTree:
 
 def full_tree(n: int, p: int, depth_cap: int, node_budget: int = 10**7) -> TruncTree:
     """Truncated T(Z_p^n): every node has exactly p^n children."""
-    q = p**n
-    if (q ** (depth_cap + 1) - 1) // (q - 1) > node_budget:
+    if n < 0:
+        raise DomainError("dimension must be >= 0")
+    q = p**n  # q = 1 gives the path: Z_p^0 is a point
+    nodes = depth_cap + 1 if q == 1 else (q ** (depth_cap + 1) - 1) // (q - 1)
+    if nodes > node_budget:
         raise NodeBudgetExceeded(f"full_tree({n},{p},{depth_cap}) exceeds node budget")
     parents = []
     size = 1
@@ -291,35 +300,45 @@ def attach(t: TruncTree, node: tuple[int, int], s: TruncTree) -> TruncTree:
     return TruncTree(t.depth_cap, parents, labels=labels)
 
 
-def subtree(t: TruncTree, node: tuple[int, int], depth_cap=None) -> TruncTree:
-    """The subtree rooted at the given node, re-rooted at depth 0."""
+def restrict(
+    t: TruncTree, keep, node: tuple[int, int] = (0, 0), depth_cap=None
+) -> TruncTree:
+    """The subtree below node, re-rooted at depth 0, of the nodes whose whole
+    path from node passes keep(depth, index) (depth and index in t).
+
+    Labels and the empty flag carry over.
+    """
     nd, ni = node
     sizes = t.layer_sizes()
-    if not (0 <= nd <= t.depth_cap and 0 <= ni < sizes[nd]):
+    if not (0 <= nd <= t.depth_cap and (t.empty or 0 <= ni < sizes[nd])):
         raise DomainError("node reference out of range")
     if depth_cap is None:
         depth_cap = t.depth_cap - nd
     if depth_cap > t.depth_cap - nd:
         raise DepthMismatch("subtree cannot be deeper than the source tree")
     parents = []
-    labels = None if t.labels is None else [[t.labels[nd][ni]]]
-    keep_prev = {ni: 0}
-    for k in range(1, depth_cap + 1):
-        depth = nd + k
-        keep_cur = {}
-        layer = []
-        lab_layer = []
-        for j, par in enumerate(t.parents[depth - 1]):
-            if par in keep_prev:
-                keep_cur[j] = len(layer)
+    labels = None
+    if t.labels is not None:
+        labels = [[] if t.empty else [t.labels[nd][ni]]]
+    keep_prev = {} if t.empty else {ni: 0}
+    for depth in range(nd + 1, nd + depth_cap + 1):
+        layer, lab_layer, keep_cur = [], [], {}
+        for i, par in enumerate(t.parents[depth - 1]):
+            if par in keep_prev and keep(depth, i):
+                keep_cur[i] = len(layer)
                 layer.append(keep_prev[par])
                 if labels is not None:
-                    lab_layer.append(t.labels[depth][j])
+                    lab_layer.append(t.labels[depth][i])
         parents.append(layer)
         if labels is not None:
             labels.append(lab_layer)
         keep_prev = keep_cur
-    return TruncTree(depth_cap, parents, labels=labels)
+    return TruncTree(depth_cap, parents, labels=labels, empty=t.empty)
+
+
+def subtree(t: TruncTree, node: tuple[int, int], depth_cap=None) -> TruncTree:
+    """The subtree rooted at the given node, re-rooted at depth 0."""
+    return restrict(t, lambda d, i: True, node, depth_cap)
 
 
 def poincare_coeffs(t: TruncTree) -> list[int]:
@@ -350,27 +369,8 @@ def cheese_restrict(t: TruncTree, cheese: Cheese) -> TruncTree:
         if idx is None:
             raise DomainError(f"hole {h} is not a node of the tree")
         hole_nodes.add((d, idx))
-    # drop strict descendants of hole nodes
-    parents: list[list[int]] = []
-    labels: list[list[Any]] = [list(t.labels[0])]
-    keep_prev = {0: 0} if not t.empty else {}
-    blocked_prev = {i for (d, i) in hole_nodes if d == 0}
-    for d in range(1, t.depth_cap + 1):
-        layer_par, layer_lab = [], []
-        keep_cur, blocked_cur = {}, set()
-        for i, par in enumerate(t.parents[d - 1]):
-            if par not in keep_prev or par in blocked_prev:
-                continue  # parent removed, or parent is a hole: drop descendants
-            keep_cur[i] = len(layer_par)
-            layer_par.append(keep_prev[par])
-            layer_lab.append(t.labels[d][i])
-            if (d, i) in hole_nodes:
-                blocked_cur.add(i)
-        parents.append(layer_par)
-        labels.append(layer_lab)
-        keep_prev = keep_cur
-        blocked_prev = blocked_cur
-    return TruncTree(t.depth_cap, parents, labels=labels, empty=t.empty)
+    # hole nodes stay, their strict descendants go
+    return restrict(t, lambda d, i: (d - 1, t.parents[d - 1][i]) not in hole_nodes)
 
 
 def find_node_by_label(t: TruncTree, depth: int, label) -> tuple[int, int]:

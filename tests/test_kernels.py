@@ -1,0 +1,145 @@
+"""The shared kernels: polynomial shift, joint depth, CRT, tree restriction."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from datum_gen import _joint_depths, sample_data
+from padictrees.datum import joint_depth, joint_depth_fn, y_datum
+from padictrees.gamma import (
+    INFINITY,
+    LinearFn,
+    eval_linear,
+    linear,
+    merge_cong,
+)
+from padictrees.polysys import shift_scale
+from padictrees.padic import vec
+from padictrees.trees import (
+    Ball,
+    TruncTree,
+    empty_tree,
+    from_points,
+    full_tree,
+    is_isomorphic,
+    restrict,
+    y_tree,
+)
+
+
+def _eval(poly, point):
+    total = 0
+    for c, exps in poly:
+        t = c
+        for x, e in zip(point, exps):
+            t *= x**e
+        total += t
+    return total
+
+
+@st.composite
+def _shift_case(draw):
+    n = draw(st.integers(1, 3))
+    term = st.tuples(
+        st.integers(-9, 9),
+        st.lists(st.integers(0, 3), min_size=0, max_size=n).map(tuple),
+    )
+    poly = tuple(draw(st.lists(term, max_size=4)))
+    ints = st.lists(st.integers(-30, 30), min_size=n, max_size=n).map(tuple)
+    shift, t = draw(ints), draw(ints)
+    scale = draw(st.integers(-27, 27))
+    mod = draw(st.one_of(st.none(), st.sampled_from([2, 3, 9, 25, 125])))
+    return poly, shift, scale, mod, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shift_case())
+def test_shift_scale_is_the_taylor_shift(case):
+    poly, shift, scale, mod, t = case
+    g = shift_scale(poly, shift, scale, mod)
+    moved = tuple(s + scale * x for s, x in zip(shift, t))
+    if mod is None:
+        assert _eval(g, t) == _eval(poly, moved)
+    else:
+        assert (_eval(g, t) - _eval(poly, moved)) % mod == 0
+        assert all(0 < c < mod for c, _ in g)
+    exps = [e for _, e in g]
+    assert exps == sorted(set(exps))
+    assert all(len(e) == len(shift) for e in exps)
+    assert all(c != 0 for c, _ in g)
+
+
+def test_shift_scale_defaults_translate():
+    # (x + 1)^2 = x^2 + 2x + 1, terms sorted by exponent
+    assert shift_scale(((1, (2,)),), (1,)) == ((1, (0,)), (2, (1,)), (1, (2,)))
+    # x - x cancels to the zero polynomial
+    assert shift_scale(((1, (1,)), (-1, (1,))), (5,), 3) == ()
+
+
+def test_joint_depth_fn_matches_generated_depths():
+    for D in sample_data(seed=11, count=12, p=3, depth_cap=5):
+        want = _joint_depths(D.skeleton)
+        for j in range(D.skeleton.num_joints):
+            fn = joint_depth_fn(D, j)
+            if want[j] is None:
+                assert fn is INFINITY
+            else:
+                assert eval_linear(fn, ()) == want[j]
+                assert joint_depth(D, j) == want[j]
+
+
+def test_joint_depth_fn_parametrized():
+    D = y_datum(linear([Fraction(1, 2)], 1), m=1)
+    fn = joint_depth_fn(D, 1)
+    assert fn == LinearFn((Fraction(1, 2),), Fraction(1))
+    for k in range(0, 12, 2):
+        assert joint_depth(D, 1, (k,)) == k // 2 + 1
+    assert joint_depth_fn(D, 2) is INFINITY
+
+
+def test_linear_fn_add_pads():
+    f = linear([1, 2], 3)
+    g = linear([5], -1)
+    assert f + g == linear([6, 2], 2)
+    assert g + f == linear([6, 2], 2)
+
+
+def test_merge_cong_is_crt():
+    for rho1 in range(1, 7):
+        for rho2 in range(1, 7):
+            for r1 in range(rho1):
+                for r2 in range(rho2):
+                    both = [k for k in range(72) if k % rho1 == r1 and k % rho2 == r2]
+                    merged = merge_cong((r1, rho1), (r2, rho2))
+                    if merged is None:
+                        assert both == []
+                    else:
+                        r, mod = merged
+                        assert both == list(range(r, 72, mod))
+
+
+def test_restrict_keeps_kept_paths():
+    t = full_tree(1, 2, 3)
+    # keep only the first child of every node: a path
+    path = restrict(t, lambda d, i: i % 2 == 0)
+    assert path.layer_sizes() == [1, 1, 1, 1]
+    # a dropped node takes its descendants with it
+    assert restrict(t, lambda d, i: d != 1).layer_sizes() == [1, 0, 0, 0]
+    # re-rooting below a node with a depth cap
+    below = restrict(y_tree(1, 4), lambda d, i: True, (1, 0), 2)
+    assert is_isomorphic(below, y_tree(0, 2))
+    assert restrict(full_tree(1, 2, 2), lambda d, i: True).labels is None
+
+
+def test_restrict_carries_labels_and_empty():
+    pts = [vec(3, 6, [k]) for k in (0, 1, 4)]
+    t = from_points(pts, Ball((0,), 0), 2)  # labels are residues mod 3^d
+    odd = restrict(t, lambda d, i: t.labels[d][i][0] % 3 == 1)
+    assert odd.labels == [[(0,)], [(1,)], [(1,), (4,)]]
+    below = restrict(t, lambda d, i: True, (1, 1))
+    assert below.labels == [[(1,)], [(1,), (4,)]]
+    labelled_empty = TruncTree(2, [[], []], labels=[[], [], []], empty=True)
+    e = restrict(labelled_empty, lambda d, i: True)
+    assert e.empty and e.labels == [[], [], []]
+    assert restrict(empty_tree(2), lambda d, i: True).layer_sizes() == [0, 0, 0]
