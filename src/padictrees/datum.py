@@ -171,6 +171,25 @@ class TreeDatum:
             if piece.m != self.m + 1:
                 raise InvalidDatum("bone piece must have m+1 coordinates")
 
+    def __hash__(self):
+        # cached: star branches repeat one side datum many times, and the
+        # generated hash would walk every copy on every call
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(
+                (
+                    self.level,
+                    self.m,
+                    self.domain,
+                    self.rho,
+                    self.skeleton,
+                    self.joint_branches,
+                    self.bone_branches,
+                )
+            )
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def joint_branch(self, j: int) -> SideBranchDatum:
         return dict(self.joint_branches)[j]
 
@@ -275,11 +294,20 @@ def _branch_json(br: SideBranchDatum) -> dict:
 
 
 def _branch_from_json(item: dict) -> SideBranchDatum:
-    leaf_data = tuple(
-        TERMINAL if leaf["side"] == "terminal" else TreeDatum.from_json(leaf["side"])
-        for leaf in item["leaves"]
-    )
-    return SideBranchDatum(tuple(item["fintree"]), leaf_data)
+    # a leaf equal to the previous one reuses its datum, so a loaded star
+    # branch shares one object per side datum as star_branch does
+    leaf_data = []
+    prev = None
+    for leaf in item["leaves"]:
+        side = leaf["side"]
+        if side == prev:
+            leaf_data.append(leaf_data[-1])
+        else:
+            leaf_data.append(
+                TERMINAL if side == "terminal" else TreeDatum.from_json(side)
+            )
+        prev = side
+    return SideBranchDatum(tuple(item["fintree"]), tuple(leaf_data))
 
 
 def joint_depth_fn(D: TreeDatum, joint: int):
@@ -506,8 +534,17 @@ def _sample_params(D: TreeDatum, span=8, limit=40):
     return pts[:limit]
 
 
-def validate(D: TreeDatum, require_normal=False, span=8) -> list[str]:
-    """Structural checks; returns a list of violation descriptions."""
+def validate(D: TreeDatum, require_normal=False, span=8, _memo=None) -> list[str]:
+    """Structural checks; returns a list of violation descriptions.
+
+    Each distinct side datum is checked once per call; a side datum carried
+    by k leaves still contributes its messages k times, in leaf order.
+    """
+    if _memo is None:
+        _memo = {}
+    hit = _memo.get(D)
+    if hit is not None:
+        return list(hit)
     report = []
     try:
         samples = _sample_params(D, span)
@@ -568,12 +605,14 @@ def validate(D: TreeDatum, require_normal=False, span=8) -> list[str]:
             if side.skeleton.num_joints == 0:
                 report.append("side datum expands to the empty tree")
             report.extend(
-                f"side: {msg}" for msg in validate(side, require_normal, span)
+                f"side: {msg}"
+                for msg in validate(side, require_normal, span, _memo)
             )
     if D.level == 0:
         for br, _ in D.side_data():
             if any(side is not TERMINAL for side in br.leaf_data):
                 report.append("level-0 datum carries a non-terminal side tree")
+    _memo[D] = tuple(report)
     return report
 
 

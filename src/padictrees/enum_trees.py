@@ -236,6 +236,7 @@ class _Lifter:
         # death depth of the congruence tree is a sound disproof
         self.deep_target = depth_cap + 2 * delta
         self.alive_memo: dict = {}
+        self.node_budget = node_budget
         self.alive_budget = [node_budget]
         self.status: dict = {}
         self.wit_cache: dict = {}
@@ -246,7 +247,13 @@ class _Lifter:
         scale, mod = self.p**depth, self.p**target
         g = [(shift_scale(f, label, scale, mod), target) for f in self.sys.polys]
         state = _norm_state(g, self.p)
-        return _alive(state, self.p, self.sys.n, self.alive_memo, self.alive_budget)
+        try:
+            return _alive(state, self.p, self.sys.n, self.alive_memo, self.alive_budget)
+        except NodeBudgetExceeded as exc:
+            raise NodeBudgetExceeded(
+                f"extension-search budget of {self.node_budget} nodes ran out "
+                f"while resolving the class at depth {depth}, label {label}"
+            ) from exc
 
     def _death_depth(self, label, depth, target) -> int:
         for d in range(depth + 1, target + 1):

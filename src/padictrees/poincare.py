@@ -5,6 +5,11 @@ contribute through the shifted domain {(kappa, depth(v)(kappa))}, bone
 pieces contribute over their cells, side branches multiply by the T(Z_p)
 factor via the substitution Z -> pZ, and the base case is the lattice-cell
 generating function.  All arithmetic is exact.
+
+The recursion is memoised per call: within one datum_poincare call, each
+distinct (side datum, domain) pair is expanded once, however many leaves
+carry it (star_branch repeats one side datum p^n - 1 times).  The memo dies
+with the call.
 """
 
 from __future__ import annotations
@@ -141,13 +146,18 @@ def datum_poincare(D: TreeDatum, p: int) -> RationalGF:
         for pt in members(D.domain, [8] * D.m, floor=-8)[:100]:
             if any(k < 0 for k in pt):
                 raise DomainNotNonnegative(f"domain contains {pt}")
-    return _datum_gf(D, D.domain, p)
+    return _datum_gf(D, D.domain, p, {})
 
 
-def _datum_gf(D: TreeDatum, dom: GammaSet, p: int) -> RationalGF:
+def _datum_gf(D: TreeDatum, dom: GammaSet, p: int, memo: dict) -> RationalGF:
     """P of the datum restricted to dom; dom's first D.m coordinates are the
     datum's parameters, trailing coordinates are spectators from outer
-    shifts (they appear in the result as their own Y variables)."""
+    shifts (they appear in the result as their own Y variables).  memo maps
+    (datum, domain) to results already computed in this call."""
+    key = (D, dom)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     m_tot = dom.m
     variables = _vars(m_tot)
     total = gf_zero(variables)
@@ -160,7 +170,7 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int) -> RationalGF:
             ),
             m_tot + 1,
         )
-        g = _branch_gf(D.joint_branch(j), shifted, p)
+        g = _branch_gf(D.joint_branch(j), shifted, p, memo)
         total = gf_add(total, substitute(g, f"Y{m_tot + 1}", 1, {"Z": 1}))
     for j, piece, br in D.bone_branches:
         _check_piece_in_strip(D, j, piece)
@@ -171,13 +181,14 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int) -> RationalGF:
                 cells.append(merged)
         if not cells:
             continue
-        g = _branch_gf(br, GammaSet(tuple(cells), m_tot + 1), p)
+        g = _branch_gf(br, GammaSet(tuple(cells), m_tot + 1), p, memo)
         g = substitute(g, f"Y{D.m + 1}", 1, {"Z": 1})
         total = gf_add(total, _rename(g, variables))
+    memo[key] = total
     return total
 
 
-def _branch_gf(br, dom: GammaSet, p: int) -> RationalGF:
+def _branch_gf(br, dom: GammaSet, p: int, memo: dict) -> RationalGF:
     """GF of a side branch summed over the attachment sites in dom: fintree
     nodes weighted Z^depth, each non-terminal leaf continuing with
     T(Z_p) x side tree via the scaling substitution Z -> pZ."""
@@ -190,7 +201,7 @@ def _branch_gf(br, dom: GammaSet, p: int) -> RationalGF:
         side = leaf_map.get(u)
         if u in leaf_map and side is not TERMINAL:
             # the leaf itself is depth 0 of the attached T(Z_p) x side tree
-            g = substitute(_datum_gf(side, dom, p), "Z", p, {"Z": 1})
+            g = substitute(_datum_gf(side, dom, p, memo), "Z", p, {"Z": 1})
             contrib = gf_mul(g, _z_power(br.depth_of(u), variables))
         else:
             contrib = gf_mul(base, _z_power(br.depth_of(u), variables))

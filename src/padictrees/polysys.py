@@ -20,14 +20,35 @@ Term = tuple[int, tuple[int, ...]]
 Poly = tuple[Term, ...]
 
 
+# Miller-Rabin with the first twelve primes as bases decides primality for
+# every n < 3.3 * 10^24 (Sorenson and Webster 2015), so for every n < 2^64.
+PRIME_LIMIT = 2**64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test; p >= PRIME_LIMIT is a DomainError."""
+    if p >= PRIME_LIMIT:
+        raise DomainError(f"p = {p} is too large: primes must be below 2^64")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

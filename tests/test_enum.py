@@ -71,6 +71,19 @@ def test_naive_node_budget():
         naive_tree(make_system(5, 2, [], allow_empty=True), 6, node_budget=1000)
 
 
+def test_extension_search_budget_names_the_class():
+    # x^2 = 2 * 3^6 has 8 naive nodes to depth 3, and the search needs 16
+    sys = make_system(3, 1, [[(1, (2,)), (-2 * 3**6, ())]])
+    assert naive_tree(sys, 3, node_budget=10).num_nodes() == 8
+    with pytest.raises(NodeBudgetExceeded) as info:
+        lifted_tree(sys, 3, 3, node_budget=10)
+    msg = str(info.value)
+    assert "extension-search budget of 10 nodes ran out" in msg
+    assert "depth 0, label (0,)" in msg
+    assert isinstance(info.value.__cause__, NodeBudgetExceeded)
+    lifted_tree(sys, 3, 3, node_budget=16)
+
+
 def test_lifted_parabola_equals_naive():
     t, statuses = lifted_tree(parabola(3), 3, 3)
     assert is_isomorphic(t, naive_tree(parabola(3), 3), with_labels=True)

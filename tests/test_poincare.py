@@ -48,6 +48,17 @@ def test_zpn2_series():
         assert expand_series(f, 8) == [p ** (2 * k) for k in range(9)]
 
 
+def test_zpn_series_closed_form_through_level_3():
+    # level 3 needs the per-call memo: each star branch repeats its side
+    # datum p^n - 1 times
+    for n in range(4):
+        for p in (2, 3, 5):
+            D = zpn_datum(n, p)
+            f = datum_poincare(D, p)
+            assert gf_equal(f, gf_geometric(("Z",), (p**n, (1,)))), (n, p)
+            assert expand_series(f, 4) == expand_counts(D, (), p, 4), (n, p)
+
+
 def test_y_series():
     f = datum_poincare(y_datum(3, m=0), 3)
     assert expand_series(f, 6) == [1, 1, 1, 1, 2, 2, 2]
