@@ -30,7 +30,10 @@ from .gamma import (
     const_fn,
     eval_linear,
     linear,
+    linear_from_json,
+    linear_json,
     members,
+    var,
     whole_quadrant,
 )
 from .trees import TruncTree, full_tree, product
@@ -226,9 +229,7 @@ class TreeDatum:
                     {
                         "from": self.skeleton.parents[j],
                         "to": j,
-                        "len": "inf"
-                        if ln is INFINITY
-                        else {"a": [str(a) for a in ln.coeffs], "b": str(ln.const)},
+                        "len": linear_json(ln),
                     }
                     for j, ln in enumerate(self.skeleton.lengths, start=1)
                 ],
@@ -246,23 +247,13 @@ class TreeDatum:
     def from_json(data: dict) -> "TreeDatum":
         sk = data["skeleton"]
         parents = tuple(sk["parents"])
-        lengths = []
-        for bone in sk["bones"]:
-            if bone["len"] == "inf":
-                lengths.append(INFINITY)
-            else:
-                lengths.append(
-                    linear(
-                        [Fraction(a) for a in bone["len"]["a"]],
-                        Fraction(bone["len"]["b"]),
-                    )
-                )
+        lengths = tuple(linear_from_json(bone["len"]) for bone in sk["bones"])
         return TreeDatum(
             level=int(data["level"]),
             m=int(data["m"]),
             domain=GammaSet.from_json(data["domain"]),
             rho=int(data["rho"]),
-            skeleton=SkeletonDatum(parents, tuple(lengths)),
+            skeleton=SkeletonDatum(parents, lengths),
             joint_branches=tuple(
                 (int(item["joint"]), _branch_from_json(item))
                 for item in data["joint_branches"]
@@ -714,12 +705,11 @@ def y_datum(length, m=1, domain=None) -> TreeDatum:
     sk = SkeletonDatum((-1, 0, 1, 1), (length, INFINITY, INFINITY))
     dom_cell = domain.cells[0]
     first_piece = GammaCell(
-        dom_cell.bounds + ((const_fn(1, m), LinearFn(length.coeffs, length.const - 1)),),
+        dom_cell.bounds + ((const_fn(1, m), length - 1),),
         dom_cell.cong + ((0, 1),),
     )
-    tail_lo = LinearFn(length.coeffs, length.const + 1)
     tail_piece = GammaCell(
-        dom_cell.bounds + ((tail_lo, INFINITY),), dom_cell.cong + ((0, 1),)
+        dom_cell.bounds + ((length + 1, INFINITY),), dom_cell.cong + ((0, 1),)
     )
     return TreeDatum(
         level=0,
@@ -793,18 +783,10 @@ def shift_piece(c: GammaCell, coord: int, delta: int) -> GammaCell:
     """The cell {x : x + delta*unit_coord in c} (shift one coordinate down)."""
     bounds = []
     for i, (lo, hi) in enumerate(c.bounds):
-        def move(fn):
-            if fn is INFINITY:
-                return INFINITY
-            const = fn.const
-            if i == coord:
-                const -= delta
-            coeffs = list(fn.coeffs)
-            if coord < len(coeffs):
-                const += coeffs[coord] * delta
-            return LinearFn(tuple(coeffs), const)
-
-        bounds.append((move(lo), move(hi)))
+        lo, hi = _shift_fn(lo, coord, delta), _shift_fn(hi, coord, delta)
+        if i == coord:
+            lo, hi = lo - delta, hi if hi is INFINITY else hi - delta
+        bounds.append((lo, hi))
     cong = list(c.cong)
     r, rho = cong[coord]
     cong[coord] = ((r - delta) % rho, rho)
@@ -812,9 +794,11 @@ def shift_piece(c: GammaCell, coord: int, delta: int) -> GammaCell:
 
 
 def _shift_fn(fn, idx: int, delta: int):
-    if fn is INFINITY or idx >= len(fn.coeffs):
+    """fn with k_idx + delta put in for k_idx."""
+    if fn is INFINITY or idx >= fn.arity():
         return fn
-    return LinearFn(fn.coeffs, fn.const + fn.coeffs[idx] * delta)
+    n = fn.arity()
+    return fn.compose([var(j, n) + delta if j == idx else var(j, n) for j in range(n)])
 
 
 def _map_branch(br: SideBranchDatum, f) -> SideBranchDatum:
@@ -850,12 +834,12 @@ def shift_datum_param(D: TreeDatum, idx: int, delta: int) -> TreeDatum:
 
 
 def _fix_fn(fn, idx: int, value: int):
-    if fn is INFINITY:
-        return INFINITY
-    if idx >= len(fn.coeffs):
+    """fn with value put in for k_idx; the later coordinates move down."""
+    if fn is INFINITY or idx >= fn.arity():
         return fn
-    coeffs = fn.coeffs[:idx] + fn.coeffs[idx + 1 :]
-    return LinearFn(coeffs, fn.const + fn.coeffs[idx] * value)
+    n = fn.arity() - 1
+    forms = [var(j, n) for j in range(n)]
+    return fn.compose(forms[:idx] + [const_fn(value, n)] + forms[idx:])
 
 
 def _fix_cell(c: GammaCell, idx: int, value: int):

@@ -226,7 +226,7 @@ def _alive(state, p: int, n: int, memo: dict, budget: list) -> bool:
 class _Lifter:
     """Shared state for one lifted_tree computation."""
 
-    def __init__(self, sys, depth_cap, delta, node_budget):
+    def __init__(self, sys, depth_cap, delta, node_budget, search_budget):
         self.sys = sys
         self.p = sys.p
         self.cap = depth_cap
@@ -237,6 +237,7 @@ class _Lifter:
         self.deep_target = depth_cap + 2 * delta
         self.alive_memo: dict = {}
         self.node_budget = node_budget
+        self.search_budget = search_budget
         self.alive_budget = [node_budget]
         self.status: dict = {}
         self.wit_cache: dict = {}
@@ -289,7 +290,7 @@ class _Lifter:
             return self.status[key]
         budget[0] -= 1
         if budget[0] < 0:
-            return Unknown(self.delta)  # not memoised: budget-local
+            return Unknown(self.search_budget)  # not memoised: budget-local
         st = self._quick_yes(label, depth)
         if st is not None:
             self.status[key] = st
@@ -342,9 +343,10 @@ class _Lifter:
             out = No(dead)
             self.status[key] = out
             return out
+        if tainted:
+            return Unknown(self.search_budget)
         out = Unknown(self.delta)
-        if not tainted:
-            self.status[key] = out
+        self.status[key] = out
         return out
 
 
@@ -365,11 +367,15 @@ def lifted_tree(
     if delta < 0:
         raise DomainError("negative certification budget")
     naive = naive_tree(sys, depth_cap, node_budget)
-    lifter = _Lifter(sys, depth_cap, delta, node_budget)
+    lifter = _Lifter(sys, depth_cap, delta, node_budget, search_budget)
+    # a class whose search ran out of budget is answered here but kept out
+    # of the memo, so every naive node gets a status
+    resolved = {}
     for depth in range(depth_cap + 1):
         for lab in naive.labels[depth]:
-            lifter.resolve(tuple(lab), depth, [search_budget])
-    statuses = lifter.status
+            lab = tuple(lab)
+            resolved[(depth, lab)] = lifter.resolve(lab, depth, [search_budget])
+    statuses = {**lifter.status, **resolved}
     # a Yes child forces a Yes parent even if the parent's search was cut
     for depth in range(depth_cap, 0, -1):
         for idx, lab in enumerate(naive.labels[depth]):

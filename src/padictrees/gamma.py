@@ -43,7 +43,20 @@ INFINITY = _Infinity()
 
 @dataclass(frozen=True)
 class LinearFn:
-    """a_1 k_1 + ... + a_j k_j + b with rational coefficients."""
+    """a_1 k_1 + ... + a_j k_j + b with rational coefficients.
+
+    The arity j is the length of coeffs; a form is read as padded with zero
+    coefficients on any longer point.  Operations and the arity of their
+    results:
+
+    - f + g, f - g: the larger arity of the two;
+    - f + c, f - c, f * c for an int or Fraction c, and -f: the arity
+      of f;
+    - f.compose(forms): forms[i] substituted for k_i, with the largest
+      arity among forms (0 when there are none);
+    - f.integral(): (integer coeffs, integer const, e) with
+      f = (sum a_i k_i + b) / e and e the least common denominator.
+    """
 
     coeffs: tuple[Fraction, ...]
     const: Fraction
@@ -63,13 +76,48 @@ class LinearFn:
     def is_constant(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
-    def __add__(self, other: "LinearFn") -> "LinearFn":
+    def __add__(self, other) -> "LinearFn":
         """Sum; the shorter coefficient tuple is padded with zeros."""
+        if not isinstance(other, LinearFn):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return LinearFn(self.coeffs, self.const + other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         coeffs = tuple(x + y for x, y in zip(a, b)) + a[len(b) :]
         return LinearFn(coeffs, self.const + other.const)
+
+    def __neg__(self) -> "LinearFn":
+        return LinearFn(tuple(-a for a in self.coeffs), -self.const)
+
+    def __sub__(self, other) -> "LinearFn":
+        return self + -other
+
+    def __mul__(self, c) -> "LinearFn":
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        return LinearFn(tuple(a * c for a in self.coeffs), self.const * c)
+
+    def compose(self, forms) -> "LinearFn":
+        """The form with forms[i] substituted for k_i, summed in one pass."""
+        if len(forms) < len(self.coeffs):
+            raise DomainError("fewer forms than coordinates")
+        coeffs = [Fraction(0)] * max((len(g.coeffs) for g in forms), default=0)
+        const = self.const
+        for a, g in zip(self.coeffs, forms):
+            if a:
+                for t, c in enumerate(g.coeffs):
+                    if c:
+                        coeffs[t] += a * c
+                const += a * g.const
+        return LinearFn(tuple(coeffs), const)
+
+    def integral(self):
+        """(integer coeffs, integer const, e): the form times its least
+        common denominator e, and e."""
+        e = lcm(self.const.denominator, *(a.denominator for a in self.coeffs))
+        return tuple(int(a * e) for a in self.coeffs), int(self.const * e), e
 
     def __str__(self):
         parts = []
@@ -87,6 +135,24 @@ def linear(coeffs, const=0) -> LinearFn:
 
 def const_fn(value, arity=0) -> LinearFn:
     return LinearFn((Fraction(0),) * arity, Fraction(value))
+
+
+def var(i: int, arity: int) -> LinearFn:
+    """The coordinate form k_{i+1} of the given arity."""
+    if not 0 <= i < arity:
+        raise DomainError(f"no coordinate {i} in arity {arity}")
+    return LinearFn(tuple(Fraction(int(j == i)) for j in range(arity)), Fraction(0))
+
+
+def linear_json(fn):
+    """JSON of a form, or "inf" for the INFINITY marker."""
+    if fn is INFINITY:
+        return "inf"
+    return {"a": [str(a) for a in fn.coeffs], "b": str(fn.const)}
+
+
+def linear_from_json(item):
+    return INFINITY if item == "inf" else linear(item["a"], item["b"])
 
 
 def eval_linear(fn, point):
@@ -143,30 +209,15 @@ class GammaCell:
         return True
 
     def to_json(self) -> dict:
-        out = []
-        for lo, hi in self.bounds:
-            item = {"lo": {"a": [str(a) for a in lo.coeffs], "b": str(lo.const)}}
-            if hi is INFINITY:
-                item["hi"] = "inf"
-            else:
-                item["hi"] = {"a": [str(a) for a in hi.coeffs], "b": str(hi.const)}
-            out.append(item)
+        out = [{"lo": linear_json(lo), "hi": linear_json(hi)} for lo, hi in self.bounds]
         return {"bounds": out, "cong": [{"r": r, "rho": rho} for r, rho in self.cong]}
 
     @staticmethod
     def from_json(data: dict) -> "GammaCell":
-        bounds = []
-        for item in data["bounds"]:
-            lo = linear(
-                [Fraction(a) for a in item["lo"]["a"]], Fraction(item["lo"]["b"])
-            )
-            if item["hi"] == "inf":
-                hi = INFINITY
-            else:
-                hi = linear(
-                    [Fraction(a) for a in item["hi"]["a"]], Fraction(item["hi"]["b"])
-                )
-            bounds.append((lo, hi))
+        bounds = [
+            (linear_from_json(item["lo"]), linear_from_json(item["hi"]))
+            for item in data["bounds"]
+        ]
         cong = tuple((int(c["r"]), int(c["rho"])) for c in data["cong"])
         return GammaCell(tuple(bounds), cong)
 
@@ -366,30 +417,6 @@ def cell_nonempty(c: GammaCell) -> bool:
 # period, so the empty case telescopes to exactly zero.
 # ---------------------------------------------------------------------------
 
-Aff = tuple[tuple[Fraction, ...], Fraction]  # (coeffs over k_1..k_m, const)
-
-
-def _aff_from_fn(fn: LinearFn, m: int) -> Aff:
-    coeffs = tuple(fn.coeffs) + (Fraction(0),) * (m - len(fn.coeffs))
-    return (coeffs, Fraction(fn.const))
-
-
-def _aff_shift(a: Aff, d) -> Aff:
-    return (a[0], a[1] + d)
-
-
-def _aff_value(a: Aff, point) -> Fraction:
-    return a[1] + sum((c * k for c, k in zip(a[0], point)), Fraction(0))
-
-
-def _aff_subst(e: Aff, k: int, g: Aff) -> Aff:
-    """Replace coordinate k in exponent form e by the affine form g."""
-    alpha = e[0][k]
-    coeffs = tuple(
-        (Fraction(0) if i == k else c) + alpha * g[0][i] for i, c in enumerate(e[0])
-    )
-    return (coeffs, e[1] + alpha * g[1])
-
 
 def cell_gf(M, variables=None) -> RationalGF:
     """Exact generating function sum over M of Y1^k1 ... Ym^km."""
@@ -409,15 +436,14 @@ def _one_cell_gf(c: GammaCell, variables) -> RationalGF:
     m = c.m
     if m == 0:
         return gf_const(variables, 1)
-    basis = [
-        (
-            tuple(Fraction(1 if i == j else 0) for i in range(m)),
-            Fraction(0),
-        )
-        for j in range(m)
-    ]
-    init = (Fraction(1), tuple(basis), Counter())
+    init = (Fraction(1), tuple(var(j, m) for j in range(m)), Counter())
     return _region_sum(c, m - 1, tuple(c.cong), [init], variables)
+
+
+def _subst(exps, k, g):
+    """The exponent forms with g, a form free of k_k, put in for k_k."""
+    move = g - var(k, len(exps))
+    return tuple(e + move * e.coeffs[k] if e.coeffs[k] else e for e in exps)
 
 
 def _region_sum(c, k, cong, terms, variables) -> RationalGF:
@@ -427,13 +453,13 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
         for coef, exps, den in terms:
             mono = []
             for e in exps:
-                if any(x != 0 for x in e[0]):
+                if not e.is_constant():
                     raise NonIntegralExponent("unsummed coordinate in exponent")
-                if e[1].denominator != 1:
-                    raise NonIntegralExponent(f"non-integer exponent {e[1]}")
-                if e[1] < 0:
+                if e.const.denominator != 1:
+                    raise NonIntegralExponent(f"non-integer exponent {e.const}")
+                if e.const < 0:
                     raise DomainError("negative exponent: set leaves Gamma_{>=0}")
-                mono.append(int(e[1]))
+                mono.append(int(e.const))
             total = gf_add(
                 total,
                 RationalGF.make(variables, {tuple(mono): coef}, Counter(den)),
@@ -441,21 +467,19 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
         return total
 
     lo_fn, hi_fn = c.bounds[k]
+    finite = hi_fn is not INFINITY
+    bound_fns = (lo_fn, hi_fn) if finite else (lo_fn,)
+    const_len = finite and (hi_fn - lo_fn).is_constant()
     result = gf_zero(variables)
     for coef, exps, den in terms:
         r_k, rho_k = cong[k]
-        alpha = [e[0][k] for e in exps]
+        alpha = [e.coeffs[k] for e in exps]
         rho2 = lcm(rho_k, *(a.denominator for a in alpha)) if alpha else rho_k
-        finite = hi_fn is not INFINITY
-        lo_aff = _aff_from_fn(lo_fn, m)
-        hi_aff = _aff_from_fn(hi_fn, m) if finite else None
 
         # refine outer congruence classes until bounds are constant mod rho2
         new_mod = [cong[i][1] for i in range(m)]
-        forms = [lo_aff] + ([hi_aff] if finite else [])
-        for i in range(k):
-            for f in forms:
-                ci = f[0][i]
+        for f in bound_fns:
+            for i, ci in enumerate(f.coeffs):
                 if ci == 0:
                     continue
                 u, w = ci.numerator, ci.denominator
@@ -471,22 +495,22 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
                 (choice[i], new_mod[i]) if i < k else cong[i] for i in range(m)
             )
             rep = list(choice)
-            a_val = _aff_value(lo_aff, rep)
+            a_val = lo_fn.value(rep)
             if a_val.denominator != 1:
                 raise NonIntegral(f"lower bound {lo_fn} non-integral on class {choice}")
             delta = (r_k - int(a_val)) % rho2
-            first = _aff_shift(lo_aff, delta)
+            first = lo_fn + delta
             if finite:
-                b_val = _aff_value(hi_aff, rep)
+                b_val = hi_fn.value(rep)
                 if b_val.denominator != 1:
                     raise NonIntegral(
                         f"upper bound {hi_fn} non-integral on class {choice}"
                     )
                 delta2 = (int(b_val) - r_k) % rho2
-                last = _aff_shift(hi_aff, -delta2)
+                last = hi_fn - delta2
                 # constant-length ranges can be empty by more than one
                 # period (e.g. reversed bounds); they contribute nothing
-                if hi_aff[0] == lo_aff[0] and int(b_val) - delta2 < int(a_val) + delta:
+                if const_len and int(b_val) - delta2 < int(a_val) + delta:
                     continue
 
             pos = all(a >= 0 for a in alpha)
@@ -496,18 +520,16 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
 
             if mixed or allzero:
                 # fall back to explicit enumeration; needs a constant range
-                if not finite or lo_aff[0] != hi_aff[0]:
+                if not const_len:
                     raise DomainError(
                         "coordinate with mixed-sign exponents needs a "
                         "constant-length finite range"
                     )
                 count = (int(b_val) - delta2 - int(a_val) - delta) // rho2 + 1
-                children = []
-                for t in range(max(count, 0)):
-                    g = _aff_shift(first, t * rho2)
-                    children.append(
-                        (coef, tuple(_aff_subst(e, k, g) for e in exps), den)
-                    )
+                children = [
+                    (coef, _subst(exps, k, first + t * rho2), den)
+                    for t in range(max(count, 0))
+                ]
                 if children:
                     result = gf_add(
                         result, _region_sum(c, k - 1, cong2, children, variables)
@@ -519,7 +541,7 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
             den2 = Counter(den)
             den2[(1, fexp)] += 1
             if pos:
-                hi_form = _aff_shift(last, rho2) if finite else None
+                hi_form = last + rho2 if finite else None
                 lo_form = first
             else:
                 if not finite:
@@ -527,11 +549,9 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
                         "negative exponent direction with an infinite range"
                     )
                 lo_form = last
-                hi_form = _aff_shift(first, -rho2)
-            children = [(coef, tuple(_aff_subst(e, k, lo_form) for e in exps), den2)]
+                hi_form = first - rho2
+            children = [(coef, _subst(exps, k, lo_form), den2)]
             if hi_form is not None:
-                children.append(
-                    (-coef, tuple(_aff_subst(e, k, hi_form) for e in exps), den2)
-                )
+                children.append((-coef, _subst(exps, k, hi_form), den2))
             result = gf_add(result, _region_sum(c, k - 1, cong2, children, variables))
     return result

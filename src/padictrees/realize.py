@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
 
@@ -27,7 +26,7 @@ from .errors import (
     NotRealizable,
     PrecisionExhausted,
 )
-from .gamma import INFINITY, LinearFn, const_fn, eval_linear
+from .gamma import INFINITY, LinearFn, const_fn, eval_linear, var
 from .padic import (
     PadicApprox,
     PadicVec,
@@ -79,14 +78,6 @@ class RealizationContext:
 # ---------------------------------------------------------------------------
 
 
-def _ell_parts(ell: LinearFn):
-    """ell written as (beta + sum a_i k_i) / e with integer beta, a_i."""
-    e = lcm(ell.const.denominator, *(a.denominator for a in ell.coeffs))
-    beta = int(ell.const * e)
-    avec = tuple(int(a * e) for a in ell.coeffs)
-    return beta, avec, e
-
-
 def _u_value(ell: LinearFn, xs, ctx: RealizationContext) -> PadicApprox:
     p, prec = ctx.p, ctx.prec
     kappa = []
@@ -103,7 +94,7 @@ def _u_value(ell: LinearFn, xs, ctx: RealizationContext) -> PadicApprox:
         raise DomainError(f"{ell} = {lval} < 0 at {tuple(kappa)}")
     if prec <= lval:
         raise PrecisionExhausted(f"need precision > {lval} for this value")
-    _, avec, e = _ell_parts(ell)
+    avec, _, e = ell.integral()
     ve = pval(p, e)
     # scaled coordinate copies cover the thin shells below the root margin
     special = sorted(
@@ -216,9 +207,7 @@ def skeleton_fns(D: TreeDatum, margins=None, ctx=None) -> SkeletonFns:
     if D.m == 0:
         lam_fn = const_fn(0, 0)
     else:
-        lam_fn = LinearFn(
-            (Fraction(0),) * (D.m - 1) + (Fraction(1),), Fraction(margins[-1])
-        )
+        lam_fn = var(D.m - 1, D.m) + margins[-1]
     terms = _skeleton_terms(D)
     ells = tuple(
         tuple((slot, d_fn + lam_fn) for slot, d_fn in t) for t in terms
@@ -327,23 +316,6 @@ def _embed_centers(br, p: int, width: int):
     return centers
 
 
-def _compose(fn: LinearFn, forms, lam_form: LinearFn, arity: int) -> LinearFn:
-    """fn over the datum parameters, rewritten over the ambient valuations
-    and shifted by the base depth."""
-    coeffs = [Fraction(0)] * arity
-    const = Fraction(fn.const)
-    for k, a in enumerate(fn.coeffs):
-        if a:
-            g = forms[k]
-            for t, c in enumerate(g.coeffs):
-                coeffs[t] += a * c
-            const += a * g.const
-    for t, c in enumerate(lam_form.coeffs):
-        coeffs[t] += c
-    const += lam_form.const
-    return LinearFn(tuple(coeffs), const)
-
-
 def _cloud(D, forms, lam_form, xs, lam, rem, dim, ctx, tag, out):
     """Points realizing the fiber tree of D at the samples xs.
 
@@ -365,14 +337,14 @@ def _cloud(D, forms, lam_form, xs, lam, rem, dim, ctx, tag, out):
             raise PrecisionExhausted("sample vanishes at working precision")
         kappa_amb.append(v)
     kappa_d = tuple(eval_linear(f, kappa_amb) for f in forms)
-    arity = len(xs)
 
     terms = _skeleton_terms(D)
     ucache = {}
 
     def uval(d_fn):
         if d_fn not in ucache:
-            ell = _compose(d_fn, forms, lam_form, arity)
+            # d_fn over the ambient valuations, shifted by the base depth
+            ell = d_fn.compose(forms) + lam_form
             if ell.value(kappa_amb) >= lam + rem:
                 # the term only touches digits below the truncation depth
                 ucache[d_fn] = from_int(p, prec, 0)
@@ -391,10 +363,7 @@ def _cloud(D, forms, lam_form, xs, lam, rem, dim, ctx, tag, out):
         if D.skeleton.is_virtual(j):
             out.append((fres[j], f"{tag}f{j}"))
 
-    e_new = LinearFn((Fraction(0),) * arity + (Fraction(1),), Fraction(0))
-    neg_lam = LinearFn(
-        tuple(-c for c in lam_form.coeffs), -lam_form.const
-    )
+    e_new = var(len(xs), len(xs) + 1)
 
     def attach(anchor, lam_rel, br, coord_tag):
         base = fres[anchor]
@@ -406,8 +375,8 @@ def _cloud(D, forms, lam_form, xs, lam, rem, dim, ctx, tag, out):
             dw = br.depth_of(leaf)
             yw = centers[leaf]
             rem2 = rem - lam_rel - dw
-            forms2 = (forms + (e_new + neg_lam,))[: side.m]
-            lam_form2 = e_new + const_fn(dw, 0)
+            forms2 = (forms + (e_new - lam_form,))[: side.m]
+            lam_form2 = e_new + dw
             # samples z = p^ka (1 + p^dw s) give the full unit digit tree
             # below the leaf ball; one s per node suffices since the side
             # fiber varies 1-Lipschitz with z
@@ -441,7 +410,7 @@ def _denom_val(D: TreeDatum, p: int) -> int:
     e = 1
     for ln in D.skeleton.lengths:
         if ln is not INFINITY:
-            e = lcm(e, ln.const.denominator, *(a.denominator for a in ln.coeffs))
+            e = lcm(e, ln.integral()[2])
     for br, _ in D.side_data():
         for side in br.leaf_data:
             if side is not TERMINAL:

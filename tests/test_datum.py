@@ -1,7 +1,10 @@
 """Tests for tree data: validation, expansion, builtins, derived data."""
 
+import random
+
 import pytest
 
+from datum_gen import random_leafless_datum
 from padictrees.datum import (
     TERMINAL,
     SideBranchDatum,
@@ -13,6 +16,7 @@ from padictrees.datum import (
     expand_counts,
     joint_depth,
     point_datum,
+    shift_datum_param,
     specialize_param,
     spine_subtree_datum,
     star_branch,
@@ -261,6 +265,33 @@ def test_specialize_param():
     assert is_isomorphic(expand(D2, (), 3, 7), y_tree(3, 7))
     with pytest.raises(ParameterOutsideDomain):
         specialize_param(D, 0, -1)
+
+
+def _assert_shift_moves_parameter(D, delta, ks, p=3, cap=5):
+    shifted = shift_datum_param(D, 0, delta)
+    for k in ks:
+        inside = D.domain.contains((k + delta,))
+        assert shifted.domain.contains((k,)) == inside
+        if inside:
+            want = expand(D, (k + delta,), p, cap)
+            assert is_isomorphic(expand(shifted, (k,), p, cap), want), (k, delta)
+
+
+def test_shift_datum_param_moves_the_parameter():
+    _assert_shift_moves_parameter(y_datum(linear([1]), m=1), 2, range(4))
+    # the one-parameter side data behind bone pieces of random level-1 data
+    rng = random.Random(1)
+    sides = []
+    for _ in range(20):
+        D = random_leafless_datum(rng, 1)
+        sides += [
+            s for _, _, br in D.bone_branches for s in br.leaf_data
+            if s is not TERMINAL and s.m == 1
+        ]
+    assert len(sides) == 45
+    for S in sides:
+        for delta in (-1, 2):
+            _assert_shift_moves_parameter(S, delta, range(6), cap=4)
 
 
 def test_spine_subtree_datum():

@@ -1,7 +1,10 @@
 """Tests for residue-class enumeration and three-valued lifting."""
 
+import json
+
 import pytest
 
+from padictrees.cli import main
 from padictrees.enum_trees import (
     Garland,
     No,
@@ -82,6 +85,39 @@ def test_extension_search_budget_names_the_class():
     assert "depth 0, label (0,)" in msg
     assert isinstance(info.value.__cause__, NodeBudgetExceeded)
     lifted_tree(sys, 3, 3, node_budget=16)
+
+
+def _cubes():
+    return make_system(3, 3, [[(1, (3, 0, 0)), (1, (0, 3, 0)), (3, (0, 0, 3))]])
+
+
+def test_cut_search_still_answers_every_naive_node():
+    # x^3 + y^3 + 3 z^3 = 0: the per-class search budget of 4000 runs out
+    # below some classes at depth 4
+    sys = _cubes()
+    t, statuses = lifted_tree(sys, 4, 3)
+    naive = naive_tree(sys, 4)
+    for d in range(5):
+        for lab in naive.labels[d]:
+            assert (d, tuple(lab)) in statuses
+    unknown = [st for st in statuses.values() if isinstance(st, Unknown)]
+    assert unknown
+    # a cut search names the search budget, not the certification window
+    assert {st.budget for st in unknown} == {4000}
+    assert t.num_nodes() <= naive.num_nodes()
+
+
+def test_cut_search_exits_with_unknown(tmp_path, capsys):
+    path = tmp_path / "cubes.json"
+    path.write_text(json.dumps(_cubes().to_json()))
+    out = str(tmp_path / "tree.json")
+    argv = ["enum", str(path), "--depth", "3", "--cert-budget", "50", "--out", out]
+    assert main(argv) == 3
+    assert "Unknown statuses remain" in capsys.readouterr().err
+    with open(out + ".status.json") as fh:
+        rows = json.load(fh)["statuses"]
+    unknown = [r for r in rows if r["status"] == "unknown"]
+    assert unknown and all(r["budget"] == 50 for r in unknown)
 
 
 def test_lifted_parabola_equals_naive():

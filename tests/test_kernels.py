@@ -1,18 +1,23 @@
-"""The shared kernels: polynomial shift, joint depth, CRT, tree restriction."""
+"""The shared kernels: polynomial shift, joint depth, CRT, tree restriction,
+the LinearFn algebra."""
 
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datum_gen import _joint_depths, sample_data
 from padictrees.datum import joint_depth, joint_depth_fn, y_datum
+from padictrees.errors import DomainError
 from padictrees.gamma import (
     INFINITY,
     LinearFn,
     eval_linear,
     linear,
     merge_cong,
+    var,
 )
 from padictrees.polysys import shift_scale
 from padictrees.padic import vec
@@ -103,6 +108,76 @@ def test_linear_fn_add_pads():
     g = linear([5], -1)
     assert f + g == linear([6, 2], 2)
     assert g + f == linear([6, 2], 2)
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+_scalars = st.one_of(st.integers(-9, 9), _rationals)
+
+
+def _forms(arity):
+    return st.builds(
+        LinearFn,
+        st.lists(_rationals, min_size=arity, max_size=arity).map(tuple),
+        _rationals,
+    )
+
+
+@st.composite
+def _compose_case(draw):
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    f = draw(_forms(n))
+    forms = [draw(_forms(draw(st.integers(0, m)))) for _ in range(n)]
+    x = draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m))
+    return f, forms, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compose_case())
+def test_compose_substitutes(case):
+    f, forms, x = case
+    h = f.compose(forms)
+    assert h.value(x) == f.value([g.value(x) for g in forms])
+    assert h.arity() == max((g.arity() for g in forms), default=0)
+    assert all(isinstance(a, Fraction) for a in h.coeffs + (h.const,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_linear_fn_arithmetic_agrees_with_value(n, m, data):
+    f, g = data.draw(_forms(n)), data.draw(_forms(m))
+    c = data.draw(_scalars)
+    x = data.draw(st.lists(st.integers(-30, 30), min_size=max(n, m), max_size=max(n, m)))
+    fx, gx = f.value(x), g.value(x)
+    for h, want, arity in (
+        (f + g, fx + gx, max(n, m)),
+        (f - g, fx - gx, max(n, m)),
+        (-f, -fx, n),
+        (f * c, fx * c, n),
+        (f + c, fx + c, n),
+        (f - c, fx - c, n),
+    ):
+        assert h.value(x) == want
+        assert h.arity() == arity
+        assert all(isinstance(a, Fraction) for a in h.coeffs + (h.const,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3).flatmap(_forms))
+def test_integral_rebuilds_the_form(f):
+    coeffs, const, e = f.integral()
+    assert all(type(a) is int for a in coeffs + (const,))
+    assert e == lcm(f.const.denominator, *(a.denominator for a in f.coeffs))
+    assert LinearFn(tuple(Fraction(a, e) for a in coeffs), Fraction(const, e)) == f
+
+
+def test_var_is_a_coordinate():
+    assert var(1, 3) == linear([0, 1, 0])
+    assert var(1, 3).value((4, 5, 6)) == 5
+    for i, arity in ((0, 0), (3, 3), (-1, 2)):
+        with pytest.raises(DomainError):
+            var(i, arity)
+    with pytest.raises(DomainError):
+        linear([1, 1]).compose([var(0, 1)])
 
 
 def test_merge_cong_is_crt():
