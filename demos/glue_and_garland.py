@@ -11,7 +11,6 @@ from padictrees import (
     Ball,
     Cheese,
     attach,
-    canonical_code,
     cusp_system,
     find_node_by_label,
     full_tree,
@@ -41,7 +40,7 @@ def glue_demo():
     for h in holes:
         node = find_node_by_label(glued, h.radius, h.reduced_center(5))
         glued = attach(glued, node, tree_on_ball(sys, h, depth - h.radius))
-    print("reglued == whole: ", canonical_code(glued) == canonical_code(whole))
+    print("reglued == whole: ", is_isomorphic(glued, whole))
 
 
 def garland_demo():

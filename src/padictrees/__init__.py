@@ -47,7 +47,6 @@ from .trees import (
     Cheese,
     TruncTree,
     attach,
-    canonical_code,
     cheese_restrict,
     empty_tree,
     find_node_by_label,
@@ -55,7 +54,6 @@ from .trees import (
     full_tree,
     is_isomorphic,
     path_tree,
-    poincare_coeffs,
     product,
     subtree,
     to_dot,

@@ -19,7 +19,7 @@ from .poincare import datum_poincare
 from .polysys import PolySystem
 from .ratfun import expand_series
 from .realize import realize, verify_realization
-from .trees import TruncTree, is_isomorphic, poincare_coeffs, to_dot
+from .trees import TruncTree, is_isomorphic, to_dot
 
 __all__ = ["main", "build_parser"]
 
@@ -179,7 +179,7 @@ def _cmd_poincare(args) -> int:
         raise _UsageError("exactly one of --datum and --tree is required")
     if args.tree is not None:
         t = TruncTree.load(args.tree)
-        counts = poincare_coeffs(t)
+        counts = t.layer_sizes()
         if args.coeffs is not None:
             counts = counts[: args.coeffs + 1]
         if args.format == "json":
@@ -244,14 +244,11 @@ def _cmd_dot(args) -> int:
     if args.thick:
         if args.p is None:
             raise _UsageError("--thick requires --p")
-        counts = [
-            [layer.count(i) for i in range(n)]
-            for layer, n in zip(t.parents, t.layer_sizes())
-        ]
+        kids = t.children_index()
 
         def thick(d, par, i):
             # an edge stands for a p-fold bundle when its node branches fully
-            return counts[d - 1][par] == args.p
+            return len(kids[d - 1][par]) == args.p
 
     _emit(to_dot(t, thick_edge=thick, show_labels=args.labels), args.out)
     return EXIT_OK

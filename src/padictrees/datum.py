@@ -36,7 +36,7 @@ from .gamma import (
     var,
     whole_quadrant,
 )
-from .trees import TruncTree, full_tree, product
+from .trees import TruncTree, _graft, empty_tree, full_tree, product
 
 MAX_LEVEL = 3
 MAX_PARAMS = 3
@@ -343,42 +343,29 @@ def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> Tr
         raise ParameterOutsideDomain(f"expected {D.m} parameters, got {len(kappa)}")
     if D.m and not D.domain.contains(kappa):
         raise ParameterOutsideDomain(f"{kappa} is not in the domain")
-    budget = _Budget(node_budget)
-    root = _expand_nodes(D, kappa, p, depth_cap, budget)
-    if root is None:
-        return TruncTree(depth_cap, (), empty=True)
-    return _nodes_to_tree(root, depth_cap)
-
-
-def _expand_nodes(D, kappa, p, cap, budget):
-    """Build the expansion as nested child lists; None for the empty tree."""
     if D.skeleton.num_joints == 0:
-        return None
+        return empty_tree(depth_cap)
+    cap = depth_cap
+    budget = _Budget(node_budget)
+    budget.take()  # the root
+    # per-depth parent lists, each layer in the order its nodes are made
+    parents: list[list[int]] = [[] for _ in range(cap)]
     kids_map = D.skeleton.children_map()
 
-    def new_node():
+    def new_node(depth, par):
         budget.take()
-        return []
-
-    root = new_node()
+        layer = parents[depth - 1]
+        layer.append(par)
+        return len(layer) - 1
 
     def attach_branch(node, depth, branch, params):
         # fintree nodes, then T(Z_p) x side tree at non-terminal leaves
         fnodes = {0: node}
-        leaf_ids = branch.leaves()
         for i in range(1, len(branch.parents)):
             d = depth + branch.depth_of(i)
-            if d > cap:
-                fnodes[i] = None
-                continue
             par = fnodes[branch.parents[i]]
-            if par is None:
-                fnodes[i] = None
-                continue
-            child = new_node()
-            par.append(child)
-            fnodes[i] = child
-        for leaf, side in zip(leaf_ids, branch.leaf_data):
+            fnodes[i] = None if d > cap or par is None else new_node(d, par)
+        for leaf, side in zip(branch.leaves(), branch.leaf_data):
             if side is TERMINAL:
                 continue
             d = depth + branch.depth_of(leaf)
@@ -388,7 +375,7 @@ def _expand_nodes(D, kappa, p, cap, budget):
             sub = expand(side, params, p, rem, budget.limit - budget.used)
             grown = product(full_tree(1, p, rem), sub)
             budget.take(max(grown.num_nodes() - 1, 0))
-            _graft(fnodes[leaf], grown)
+            _graft(parents, None, (d, fnodes[leaf]), grown)
 
     def place_joint(j, node, depth):
         # skeleton children first, side branches after (deterministic order)
@@ -408,51 +395,49 @@ def _expand_nodes(D, kappa, p, cap, budget):
                 if lam > cap:
                     cur = None
                     break
-                nxt = new_node()
-                cur.append(nxt)
-                chain.append((nxt, lam))
-                cur = nxt
+                cur = new_node(lam, cur)
+                chain.append((cur, lam))
             if cur is not None and ln is not INFINITY and depth + length <= cap:
-                end = new_node()
-                cur.append(end)
-                place_joint(j2, end, depth + length)
+                yield j2, new_node(depth + length, cur), depth + length
             for nxt, lam in chain:
                 _, br = D.find_piece(j2, kappa + (lam,))
                 attach_branch(nxt, lam, br, kappa + (lam,))
         if not D.skeleton.is_virtual(j):
             attach_branch(node, depth, D.joint_branch(j), kappa)
 
-    place_joint(0, root, 0)
-    return root
+    _walk(place_joint, 0, 0, 0)
+    return TruncTree(cap, _breadth_first(parents))
 
 
-def _graft(node, t: TruncTree):
-    """Append the children structure of a TruncTree below an existing node."""
-    if t.num_nodes() == 0:
-        return
-    prev = {0: node}
-    for depth in range(1, t.depth_cap + 1):
-        cur = {}
-        for i, par in enumerate(t.parents[depth - 1]):
-            child = []
-            prev[par].append(child)
-            cur[i] = child
-        prev = cur
+def _walk(visit, *root):
+    """Run the recursion visit(*root) on an explicit stack: visit is a
+    generator function that yields the arguments of each recursive call, so
+    Python's recursion limit does not bound the skeleton's depth."""
+    stack = [visit(*root)]
+    while stack:
+        call = next(stack[-1], None)
+        if call is None:
+            stack.pop()
+        else:
+            stack.append(visit(*call))
 
 
-def _nodes_to_tree(root, cap) -> TruncTree:
-    layers = []
-    prev = [root]
-    for _ in range(cap):
-        parents = []
-        nxt = []
-        for i, node in enumerate(prev):
-            for child in node:
-                parents.append(i)
-                nxt.append(child)
-        layers.append(tuple(parents))
-        prev = nxt
-    return TruncTree(cap, tuple(layers))
+def _breadth_first(parents: list[list[int]]) -> list[list[int]]:
+    """Renumber per-depth parent lists so that each layer orders its nodes by
+    their parent's position, then as they were listed (the order a parent's
+    children were made).  Each input layer is dropped once renumbered."""
+    out = []
+    new_index = [0]
+    for d in range(len(parents)):
+        keys = [new_index[par] for par in parents[d]]
+        parents[d] = None
+        out.append(sorted(keys))
+        if d + 1 < len(parents):
+            new_index = [0] * len(keys)
+            # sorted() is stable: siblings keep the order they were made in
+            for new, old in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+                new_index[old] = new
+    return out
 
 
 def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
@@ -504,9 +489,9 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
                 _, br = D.find_piece(j2, kappa + (lam,))
                 add_branch(lam, br, kappa + (lam,))
             if ln is not INFINITY and depth + length <= depth_cap:
-                place_joint(j2, depth + length)
+                yield j2, depth + length
 
-    place_joint(0, 0)
+    _walk(place_joint, 0, 0)
     _memo[key] = counts
     return counts
 

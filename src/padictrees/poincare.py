@@ -42,7 +42,7 @@ from .ratfun import (
     gf_zero,
     substitute,
 )
-from .trees import TruncTree, poincare_coeffs
+from .trees import TruncTree
 
 __all__ = [
     "datum_poincare",
@@ -229,7 +229,7 @@ class CompareReport:
 
 def compare(f: RationalGF, t: TruncTree) -> CompareReport:
     """Coefficientwise comparison of a univariate GF against layer counts."""
-    counts = poincare_coeffs(t)
+    counts = t.layer_sizes()
     k = t.depth_cap
     coeffs = expand_series(f, k)
     mismatch = None

@@ -8,7 +8,6 @@ explicitly requested.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -78,9 +77,6 @@ class TruncTree:
             raise LabelMissing("tree carries no labels")
         return self.labels[depth][index]
 
-    def drop_labels(self) -> "TruncTree":
-        return TruncTree(self.depth_cap, self.parents, empty=self.empty)
-
     def to_json(self) -> dict:
         out = {
             "format": 1,
@@ -94,10 +90,22 @@ class TruncTree:
 
     @staticmethod
     def from_json(data: dict) -> "TruncTree":
+        if not isinstance(data, dict):
+            raise DomainError("a tree must be a JSON object")
         if data.get("format") != 1:
             raise DomainError(f"unsupported tree format {data.get('format')!r}")
-        cap = int(data["depth_cap"])
-        parents = [[int(i) for i in layer] for layer in data["parents"]]
+        cap = data.get("depth_cap")
+        if not isinstance(cap, int):
+            raise DomainError(f"depth_cap must be an integer, not {cap!r}")
+        for key in ("parents", "layers", "labels"):
+            value = data.get(key)
+            if value is None and key != "parents":
+                continue
+            if not isinstance(value, list) or not all(isinstance(l, list) for l in value):
+                raise DomainError(f"tree field {key!r} must be a list of lists")
+        parents = data["parents"]
+        if not all(isinstance(i, int) for layer in parents for i in layer):
+            raise DomainError("parent indices must be integers")
         labels = data.get("labels")
         if labels is not None:
             labels = [[_label_unjson(l) for l in layer] for layer in labels]
@@ -282,22 +290,26 @@ def attach(t: TruncTree, node: tuple[int, int], s: TruncTree) -> TruncTree:
         raise DomainError("node reference out of range")
     parents = [list(layer) for layer in t.parents]
     labels = [list(layer) for layer in t.labels] if t.labels is not None else None
-    # index maps for s's nodes placed at absolute depths nd + k
-    prev_map = {0: ni}
-    for k in range(1, s.depth_cap + 1):
-        depth = nd + k
-        if depth > t.depth_cap:
-            break
-        base = len(parents[depth - 1])
-        cur_map = {}
-        for j, par in enumerate(s.parents[k - 1]):
-            cur_map[j] = base + len(cur_map)
-            parents[depth - 1].append(prev_map[par])
-            if labels is not None:
-                lab = s.labels[k][j] if s.labels is not None else None
-                labels[depth].append(lab)
-        prev_map = cur_map
+    _graft(parents, labels, node, s)
     return TruncTree(t.depth_cap, parents, labels=labels)
+
+
+def _graft(parents, labels, node: tuple[int, int], s: TruncTree) -> None:
+    """Append s below node to per-depth parent lists (and labels, if not
+    None) in place, truncating at their depth cap.
+
+    s's node j at depth k lands at index j + (the length of the target layer
+    before the graft); its parent is found by the same offset one layer up.
+    """
+    nd, offset = node
+    for k in range(1, min(s.depth_cap, len(parents) - nd) + 1):
+        layer = parents[nd + k - 1]
+        base = len(layer)
+        layer.extend([offset + par for par in s.parents[k - 1]])
+        if labels is not None:
+            n = len(s.parents[k - 1])
+            labels[nd + k].extend(s.labels[k] if s.labels is not None else [None] * n)
+        offset = base
 
 
 def restrict(
@@ -339,11 +351,6 @@ def restrict(
 def subtree(t: TruncTree, node: tuple[int, int], depth_cap=None) -> TruncTree:
     """The subtree rooted at the given node, re-rooted at depth 0."""
     return restrict(t, lambda d, i: True, node, depth_cap)
-
-
-def poincare_coeffs(t: TruncTree) -> list[int]:
-    """Layer counts N_0 .. N_cap of the truncated Poincare series."""
-    return t.layer_sizes()
 
 
 def cheese_restrict(t: TruncTree, cheese: Cheese) -> TruncTree:
@@ -432,55 +439,6 @@ def is_isomorphic(t1: TruncTree, t2: TruncTree, with_labels: bool = False) -> bo
         return False
     r1, r2 = _ahu_ids([t1, t2], with_labels)
     return r1 == r2
-
-
-@dataclass(frozen=True)
-class CanonicalCode:
-    """Identifies a truncated tree up to isomorphism (at equal depth cap)."""
-
-    depth_cap: int
-    digest: bytes
-    exact: Optional[str] = None
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalCode):
-            return NotImplemented
-        if self.depth_cap != other.depth_cap or self.digest != other.digest:
-            return False
-        if self.exact is not None and other.exact is not None:
-            return self.exact == other.exact
-        return True
-
-    def __hash__(self):
-        return hash((self.depth_cap, self.digest))
-
-
-def canonical_code(t: TruncTree, exact: bool = False) -> CanonicalCode:
-    """Recursive sorted-multiset code; exact=True also keeps the full string."""
-    if t.empty:
-        return CanonicalCode(t.depth_cap, b"empty", "()" if exact else None)
-    cap = t.depth_cap
-    digests = [b""] * t.layer_sizes()[cap]
-    strings = [""] * t.layer_sizes()[cap] if exact else None
-    leaf = hashlib.blake2b(b"()", digest_size=16).digest()
-    digests = [leaf] * len(digests)
-    if exact:
-        strings = ["()"] * len(strings)
-    for d in range(cap - 1, -1, -1):
-        sizes = t.layer_sizes()
-        buckets: list[list[bytes]] = [[] for _ in range(sizes[d])]
-        sbuckets = [[] for _ in range(sizes[d])] if exact else None
-        for i, par in enumerate(t.parents[d]):
-            buckets[par].append(digests[i])
-            if exact:
-                sbuckets[par].append(strings[i])
-        digests = [
-            hashlib.blake2b(b"(" + b"".join(sorted(ch)) + b")", digest_size=16).digest()
-            for ch in buckets
-        ]
-        if exact:
-            strings = ["(" + "".join(sorted(ch)) + ")" for ch in sbuckets]
-    return CanonicalCode(cap, digests[0], strings[0] if exact else None)
 
 
 def to_dot(

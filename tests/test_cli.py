@@ -8,7 +8,7 @@ from padictrees.cli import main
 from padictrees.datum import cusp_datum, point_datum, y_datum
 from padictrees.polysys import cusp_system, make_system
 from padictrees.realize import WitnessCloud, verify_realization
-from padictrees.trees import TruncTree, is_isomorphic, y_tree
+from padictrees.trees import TruncTree, full_tree, is_isomorphic, y_tree
 
 
 @pytest.fixture
@@ -179,6 +179,15 @@ def test_dot_output(files, capsys, tmp_path):
     assert "penwidth" in out
     code, _, err = run(capsys, "dot", tree_path, "--thick")
     assert code == 2
+    # --thick marks the edges out of nodes with exactly p children
+    for tree, thick_edges in ((full_tree(1, 5, 3), 155), (y_tree(1, 3), 0)):
+        with open(tree_path, "w") as fh:
+            json.dump(tree.to_json(), fh)
+        code, out, _ = run(capsys, "dot", tree_path, "--thick", "--p", "5")
+        assert code == 0
+        edges = [line for line in out.splitlines() if "->" in line]
+        assert len(edges) == tree.num_nodes() - 1
+        assert sum("penwidth" in line for line in edges) == thick_edges
 
 
 def test_usage_errors(files, capsys):

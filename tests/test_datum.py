@@ -1,10 +1,12 @@
 """Tests for tree data: validation, expansion, builtins, derived data."""
 
+import json
 import random
 
 import pytest
 
-from datum_gen import random_leafless_datum
+from datum_gen import random_leafless_datum, sample_data
+from padictrees.cli import main
 from padictrees.datum import (
     TERMINAL,
     SideBranchDatum,
@@ -40,6 +42,7 @@ from padictrees.gamma import (
     whole_quadrant,
 )
 from padictrees.trees import (
+    TruncTree,
     full_tree,
     is_isomorphic,
     path_tree,
@@ -62,6 +65,24 @@ def make_single_bone(length, pieces, branch=None, m=1, level=0, rho=1):
         skeleton=sk,
         joint_branches=tuple(joint_branches),
         bone_branches=tuple((1, piece, br) for piece, br in pieces),
+    )
+
+
+def chain_datum(joints):
+    """A chain of joints joined by bones of length 1, the last bone infinite,
+    every side branch terminal: its tree is a path."""
+    sk = SkeletonDatum(
+        (-1,) + tuple(range(joints - 1)),
+        (const_fn(1, 0),) * (joints - 2) + (INFINITY,),
+    )
+    return TreeDatum(
+        level=0,
+        m=0,
+        domain=whole_quadrant(0),
+        rho=1,
+        skeleton=sk,
+        joint_branches=tuple((j, terminal_branch()) for j in range(joints - 1)),
+        bone_branches=((joints - 1, strip_piece(0, joints - 1), terminal_branch()),),
     )
 
 
@@ -186,9 +207,30 @@ def test_expand_counts_agrees_with_expand():
         (cusp_datum(3), (), 3, 7),
         (cusp_datum(5), (), 5, 6),
         (y_datum(linear([1]), m=1), (3,), 5, 7),
+        (chain_datum(1500), (), 3, 1600),
+        (
+            TreeDatum(
+                level=0, m=0, domain=whole_quadrant(0), rho=1,
+                skeleton=SkeletonDatum((), ()), joint_branches=(), bone_branches=(),
+            ),
+            (), 3, 4,
+        ),
     ]
+    for p in (3, 5):
+        cases.extend((D, (), p, 5) for D in sample_data(1, 6, p, 5))
     for D, kappa, p, cap in cases:
-        assert expand_counts(D, kappa, p, cap) == expand(D, kappa, p, cap).layer_sizes()
+        t = expand(D, kappa, p, cap)
+        assert expand_counts(D, kappa, p, cap) == t.layer_sizes()
+        assert TruncTree.from_json(t.to_json()).to_json() == t.to_json()
+
+
+def test_deep_chain_expands_without_recursion(tmp_path, capsys):
+    D = chain_datum(1500)
+    assert is_isomorphic(expand(D, (), 3, 1600), path_tree(1600))
+    path = tmp_path / "deep.datum.json"
+    path.write_text(json.dumps(D.to_json()))
+    assert main(["expand", str(path), "--p", "3", "--depth", "1600", "--format", "text"]) == 0
+    assert capsys.readouterr().out.split() == ["1"] * 1601
 
 
 def test_expand_rejects_bad_parameters():

@@ -58,6 +58,14 @@ def test_tree_json_format_and_layers_checked(tmp_path, capsys):
         {k: v for k, v in good.items() if k != "format"},
         {**good, "layers": [[0], [0], [0, 1], [0, 1, 2]]},
         {**good, "layers": [[0], [0], [0, 1]]},
+        [1, 2],
+        {**good, "parents": 5},
+        {**good, "parents": [[0], 0, [0, 1]]},
+        {**good, "parents": [[0], [None, 0], [0, 1]]},
+        {k: v for k, v in good.items() if k != "parents"},
+        {**good, "layers": 3},
+        {**good, "labels": [[0], [0], 0, [0, 1]]},
+        {**good, "depth_cap": "3"},
     ):
         with pytest.raises(DomainError):
             TruncTree.from_json(bad)
