@@ -23,9 +23,10 @@ def main():
     p, depth = 5, 6
     sys = cusp_system(p)
 
-    # 1. enumeration: keep a residue class when a witness or a Newton
-    # certificate proves a Z_5-point above it, discard when exhaustive
-    # digit search kills every continuation
+    # 1. enumeration: keep a residue class when a witness, a Newton
+    # certificate or a unit Jacobian minor (Hensel) proves a Z_5-point
+    # above it, discard when exhaustive digit search kills every
+    # continuation, and do not expand a discarded class
     t, statuses = lifted_tree(sys, depth, depth)
     print("lifted layer sizes:", t.layer_sizes())
 

@@ -14,7 +14,6 @@ import sys
 from .datum import TreeDatum, expand
 from .enum_trees import No, Unknown, Yes, lifted_tree, naive_tree
 from .errors import PadicTreesError
-from .padic import Certified
 from .poincare import datum_poincare
 from .polysys import PolySystem
 from .ratfun import expand_series
@@ -124,17 +123,17 @@ def _emit_tree(t: TruncTree, args) -> None:
         _emit(" ".join(str(n) for n in t.layer_sizes()), args.out)
 
 
-def _status_json(st) -> dict:
-    if isinstance(st, Yes):
-        cert = st.certificate
-        if isinstance(cert, Certified):
-            detail = {"kind": "newton", "margin": cert.margin, "depth": cert.depth}
-        else:
-            detail = {"kind": "witness", "point": [str(q) for q in cert]}
-        return {"status": "yes", **detail}
-    if isinstance(st, No):
-        return {"status": "no", "exhausted_at": st.exhausted_at}
-    return {"status": "unknown", "budget": st.budget}
+def _certificate_json(st: Yes) -> dict:
+    """The certificate of a Yes, under the class it was made for."""
+    cert = {"kind": st.kind, "depth": st.depth, "label": list(st.label)}
+    if st.kind == "witness":
+        cert["point"] = [str(q) for q in st.certificate]
+    elif st.kind != "exact":
+        cert["cols"] = list(st.certificate.cols)
+        if st.kind == "newton":
+            cert["margin"] = st.certificate.margin
+            cert["lift_depth"] = st.certificate.depth
+    return cert
 
 
 def _cmd_enum(args) -> int:
@@ -145,13 +144,33 @@ def _cmd_enum(args) -> int:
         node_budget=args.node_budget, search_budget=args.cert_budget,
     )
     _emit_tree(t, args)
-    rows = [
-        {"depth": d, "label": list(lab), **_status_json(st)}
-        for (d, lab), st in sorted(statuses.items())
-    ]
-    sidecar = json.dumps({"format": 1, "statuses": rows})
     if args.out:
-        _emit(sidecar, args.out + ".status.json")
+        # a class below a No class is No too: its row is implied and left
+        # out; a yes row points into the list of distinct certificates
+        p = system.p
+        kept = sorted(
+            ((d, lab), st) for (d, lab), st in statuses.items()
+            if not (
+                d and isinstance(st, No)
+                and isinstance(statuses[d - 1, tuple(x % p ** (d - 1) for x in lab)], No)
+            )
+        )
+        rows, certs, index = [], [], {}
+        for (d, lab), st in kept:
+            row = {"depth": d, "label": list(lab)}
+            if isinstance(st, Yes):
+                # one entry per certificate object, which many classes share
+                if id(st) not in index:
+                    index[id(st)] = len(certs)
+                    certs.append(_certificate_json(st))
+                row.update(status="yes", kind=st.kind, certificate=index[id(st)])
+            elif isinstance(st, No):
+                row.update(status="no", exhausted_at=st.exhausted_at)
+            else:
+                row.update(status="unknown", budget=st.budget)
+            rows.append(row)
+        sidecar = {"format": 1, "certificates": certs, "statuses": rows}
+        _emit(json.dumps(sidecar), args.out + ".status.json")
     unknowns = sum(isinstance(st, Unknown) for st in statuses.values())
     if unknowns:
         print(f"{unknowns} Unknown statuses remain", file=sys.stderr)

@@ -3,12 +3,26 @@
 naive_tree lists the residue classes solving the congruences level by
 level.  lifted_tree keeps only classes that contain genuine Z_p-points;
 membership in the image of the projection is undecidable in general, so
-statuses are three-valued.  Yes needs a declared rational point or a
-Hensel certificate, No needs the congruence solutions below the class to
-die out at a finite depth, Unknown carries the exhausted budget.
+statuses are three-valued.  Yes needs a certificate: a declared rational
+point, a Newton certificate or an exact representative at the class or a
+descendant, or a unit Jacobian minor (Hensel).  No needs the congruence
+solutions below the class to die out at a finite depth, Unknown carries
+the exhausted budget.
+
+lifted_tree walks the naive tree top-down, one layer at a time:
+
+- A class decided No is not expanded.  Every naive class below it gets
+  that No: a subclass of a class without Z_p-points has none.
+- A class at depth >= 1 whose Jacobian has a k x k minor that is a unit
+  mod p lifts, with its whole naive subtree, by Hensel's lemma.  Its naive
+  descendants get its Yes without a search.  The Jacobian mod p depends on
+  the residue mod p only, so this is decided once per depth-1 class.
+- Every other class is resolved by a search that reads the class's shifted
+  system g(t) = f(label + p^depth t), carried down one digit step at a
+  time: a child with digit vector d has g(d + p t).
 
 The extension-existence test behind No is exact: it recurses on digits of
-the translated system and memoises on the reduced coefficients, so digits
+the carried system and memoises on the reduced coefficients, so digits
 the equations do not yet see cost nothing instead of multiplying the
 search by p^n per level.
 """
@@ -17,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .errors import DomainError, NodeBudgetExceeded
 from .padic import Certified, newton_certify, pval, vec
@@ -41,12 +55,22 @@ __all__ = [
 class Yes:
     """Sound: the class contains a Z_p-point of X.
 
-    certificate is either a Certified Newton record or the rational point
-    (tuple of Fractions) that witnesses the class; ancestors inherit the
-    certificate of the descendant that produced it.
+    The certificate was made for the class (depth, label): the class itself,
+    a descendant whose Yes an ancestor inherits, or for kind "hensel" the
+    depth-1 class whose unit minor covers the subtree.  By kind:
+
+    - "witness": certificate is the declared rational point;
+    - "newton": a padic.Certified from newton_certify, naming its minor;
+    - "exact": a Certified with cols None, whose class representative
+      solves the system;
+    - "hensel": Certified(0, 1, cols), the minor on cols is a unit at the
+      class, hence at every naive class below it.
     """
 
     certificate: object
+    kind: str
+    depth: int
+    label: tuple
 
 
 @dataclass(frozen=True)
@@ -85,44 +109,63 @@ class Garland:
         return [start + i * self.rho for i in range(count)]
 
 
+def _mod_p(polys, p: int) -> list:
+    """The polynomials mod p for _digit_roots: nonzero terms (c, mono), with
+    mono the (coordinate, power) pairs of the exponent vector."""
+    rows = []
+    for poly in polys:
+        terms = [
+            (c % p, tuple((j, e) for j, e in enumerate(ee) if e))
+            for c, ee in poly
+            if c % p
+        ]
+        if terms:
+            rows.append(terms)
+    return rows
+
+
+def _digit_roots(rows, p: int, n: int) -> list:
+    """The digit vectors d in {0..p-1}^n, in sorted order, at which every
+    row of _mod_p vanishes mod p."""
+    if any(len(terms) == 1 and not terms[0][1] for terms in rows):
+        return []  # a unit constant
+    digits = iproduct(range(p), repeat=n)
+    if not rows:
+        return list(digits)
+    out = []
+    for d in digits:
+        for terms in rows:
+            tot = 0
+            for c, mono in terms:
+                for j, e in mono:
+                    c *= d[j] ** e
+                tot += c
+            if tot % p:
+                break
+        else:
+            out.append(d)
+    return out
+
+
 def _children(sys: PolySystem, label, depth):
     """Residue extensions of a depth-`depth` class to depth+1, in sorted
-    digit order.  For depth >= 1 the test is linear in the digits."""
-    p, n, k = sys.p, sys.n, len(sys.polys)
+    digit order.  For depth >= 1 the test is linear in the digits:
+    f(a + p^l d) = f(a) + p^l d.grad f(a) mod p^{2l}, and 2l >= l+1."""
+    p, n = sys.p, sys.n
     pl = p**depth
-    out = []
     if depth == 0:
-        for d in iproduct(range(p), repeat=n):
-            if all(sys.eval_poly(i, d) % p == 0 for i in range(k)):
-                out.append(d)
-        return out
-    base = []
-    grads = []
-    for i in range(k):
-        fa = sys.eval_poly(i, label)
-        # f(a + p^l d) = f(a) + p^l d.grad f(a) mod p^{2l}, and 2l >= l+1
-        base.append(fa // pl % p)
-        grads.append([sys.partial(i, j, label) % p for j in range(n)])
-    if all(all(g == 0 for g in row) for row in grads):
-        # digit-independent condition: all or nothing
-        if any(base):
-            return []
-        return [
-            tuple(a + dj * pl for a, dj in zip(label, d))
-            for d in iproduct(range(p), repeat=n)
-        ]
-    for d in iproduct(range(p), repeat=n):
-        ok = True
-        for b, row in zip(base, grads):
-            s = b
-            for g, dj in zip(row, d):
-                s += g * dj
-            if s % p:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(a + dj * pl for a, dj in zip(label, d)))
-    return out
+        rows = _mod_p(sys.polys, p)
+    else:
+        rows = []
+        for i in range(len(sys.polys)):
+            terms = [(sys.partial(i, j, label) % p, ((j, 1),)) for j in range(n)]
+            terms.append((sys.eval_poly(i, label) // pl % p, ()))
+            terms = [t for t in terms if t[0]]
+            if terms:
+                rows.append(terms)
+    return [
+        tuple([a + dj * pl for a, dj in zip(label, d)]) for d in _digit_roots(rows, p, n)
+    ]
 
 
 def naive_tree(sys: PolySystem, depth_cap: int, node_budget: int = 10**7) -> TruncTree:
@@ -198,21 +241,7 @@ def _alive(state, p: int, n: int, memo: dict, budget: list) -> bool:
     if budget[0] < 0:
         raise NodeBudgetExceeded("extension search exceeded the node budget")
     result = False
-    for d in iproduct(range(p), repeat=n):
-        ok = True
-        for poly, _K in state:
-            tot = 0
-            for c, ee in poly:
-                t = c
-                for x, e in zip(d, ee):
-                    if e:
-                        t *= x**e
-                tot += t
-            if tot % p:
-                ok = False
-                break
-        if not ok:
-            continue
+    for d in _digit_roots(_mod_p([poly for poly, _K in state], p), p, n):
         child = _norm_state(
             [(shift_scale(poly, d, p, p**K), K) for poly, K in state], p
         )
@@ -224,7 +253,12 @@ def _alive(state, p: int, n: int, memo: dict, budget: list) -> bool:
 
 
 class _Lifter:
-    """Shared state for one lifted_tree computation."""
+    """Shared state for one lifted_tree computation.
+
+    A class is searched through its carried system g(t) = f(label +
+    p^depth t), reduced mod p^deep_target, the deepest modulus a search
+    reads.
+    """
 
     def __init__(self, sys, depth_cap, delta, node_budget, search_budget):
         self.sys = sys
@@ -235,19 +269,38 @@ class _Lifter:
         # exhaustion may look past the certification horizon: any finite
         # death depth of the congruence tree is a sound disproof
         self.deep_target = depth_cap + 2 * delta
+        self.mod = self.p**self.deep_target
         self.alive_memo: dict = {}
         self.node_budget = node_budget
         self.search_budget = search_budget
         self.alive_budget = [node_budget]
         self.status: dict = {}
         self.wit_cache: dict = {}
+        self.hensel_cache: dict = {}
 
-    def _alive_at(self, label, depth, target) -> bool:
+    def root_system(self):
+        zero = (0,) * self.sys.n
+        return tuple(shift_scale(f, zero, 1, self.mod) for f in self.sys.polys)
+
+    def shift(self, g, digit):
+        """The carried system of the child with digit vector `digit`."""
+        return tuple(shift_scale(f, digit, self.p, self.mod) for f in g)
+
+    def _kids(self, g, label, depth):
+        """(digit, label) of the naive children, read off the carried
+        system: every coefficient of g is divisible by p^depth, and mod p
+        only the constant and linear terms of g / p^depth survive."""
+        pl = self.p**depth
+        rows = _mod_p([[(c // pl, e) for c, e in f] for f in g], self.p)
+        return [
+            (d, tuple(a + dj * pl for a, dj in zip(label, d)))
+            for d in _digit_roots(rows, self.p, self.sys.n)
+        ]
+
+    def _alive_at(self, g, label, depth, target) -> bool:
         if depth >= target:
             return True
-        scale, mod = self.p**depth, self.p**target
-        g = [(shift_scale(f, label, scale, mod), target) for f in self.sys.polys]
-        state = _norm_state(g, self.p)
+        state = _norm_state([(f, target) for f in g], self.p)
         try:
             return _alive(state, self.p, self.sys.n, self.alive_memo, self.alive_budget)
         except NodeBudgetExceeded as exc:
@@ -256,11 +309,27 @@ class _Lifter:
                 f"while resolving the class at depth {depth}, label {label}"
             ) from exc
 
-    def _death_depth(self, label, depth, target) -> int:
+    def _death_depth(self, g, label, depth, target) -> int:
         for d in range(depth + 1, target + 1):
-            if not self._alive_at(label, depth, d):
+            if not self._alive_at(g, label, depth, d):
                 return d
         raise DomainError("death depth requested for a live class")
+
+    def hensel(self, label):
+        """The Yes covering a depth >= 1 class with a Jacobian minor that is
+        a unit at its residue mod p, or None.  It names the depth-1 class."""
+        res = tuple(x % self.p for x in label)
+        if res not in self.hensel_cache:
+            k = len(self.sys.polys)
+            cols = next(
+                (c for c in combinations(range(self.sys.n), k)
+                 if self.sys.jacobian_minor(res, c) % self.p),
+                None,
+            )
+            self.hensel_cache[res] = (
+                None if cols is None else Yes(Certified(0, 1, cols), "hensel", 1, res)
+            )
+        return self.hensel_cache[res]
 
     def _witness_for(self, label, depth):
         table = self.wit_cache.get(depth)
@@ -276,15 +345,20 @@ class _Lifter:
         return table.get(label)
 
     def _quick_yes(self, label, depth):
+        if depth:
+            st = self.hensel(label)
+            if st is not None:
+                return st
         w = self._witness_for(label, depth)
         if w is not None:
-            return Yes(w)
+            return Yes(w, "witness", depth, label)
         cert = newton_certify(self.sys, vec(self.p, depth, label))
         if isinstance(cert, Certified) and cert.depth >= depth:
-            return Yes(cert)
+            return Yes(cert, "exact" if cert.exact else "newton", depth, label)
         return None
 
-    def resolve(self, label, depth, budget) -> object:
+    def resolve(self, label, depth, g, budget) -> object:
+        """Status of the class, searched through its carried system g."""
         key = (depth, label)
         if key in self.status:
             return self.status[key]
@@ -297,42 +371,39 @@ class _Lifter:
             return st
         kids = None
         if depth < self.target:
-            kids = _children(self.sys, label, depth)
+            kids = self._kids(g, label, depth)
             if not kids:
                 out = No(depth + 1)
                 self.status[key] = out
                 return out
-        if not self._alive_at(label, depth, self.target):
-            out = No(self._death_depth(label, depth, self.target))
-            self.status[key] = out
-            return out
-        if not self._alive_at(label, depth, self.deep_target):
-            out = No(self._death_depth(label, depth, self.deep_target))
-            self.status[key] = out
-            return out
+        for target in (self.target, self.deep_target):
+            if not self._alive_at(g, label, depth, target):
+                out = No(self._death_depth(g, label, depth, target))
+                self.status[key] = out
+                return out
         if depth >= self.target:
             out = Unknown(self.delta)
             self.status[key] = out
             return out
-        for kid in kids:
+        for _, kid in kids:
             st = self.status.get((depth + 1, kid))
             if st is None:
                 st = self._quick_yes(kid, depth + 1)
                 if st is not None:
                     self.status[(depth + 1, kid)] = st
             if isinstance(st, Yes):
-                out = Yes(st.certificate)
-                self.status[key] = out
-                return out
+                self.status[key] = st
+                return st
         tainted = False
         all_no = True
         dead = depth
-        for kid in kids:
-            st = self.resolve(kid, depth + 1, budget)
+        for digit, kid in kids:
+            st = self.status.get((depth + 1, kid))
+            if st is None:
+                st = self.resolve(kid, depth + 1, self.shift(g, digit), budget)
             if isinstance(st, Yes):
-                out = Yes(st.certificate)
-                self.status[key] = out
-                return out
+                self.status[key] = st
+                return st
             if isinstance(st, No):
                 dead = max(dead, st.exhausted_at)
             else:
@@ -358,43 +429,74 @@ def lifted_tree(
     search_budget: int = 4000,
 ):
     """Subtree of naive_tree consisting of classes containing Z_p-points,
-    plus the full status map keyed by (depth, residue label).
+    plus the status map keyed by (depth, residue label), which answers
+    every naive class.
 
-    Yes comes from a declared witness or a Newton certificate at the class
-    or a descendant; No from exact exhaustion of the congruence tree; the
-    rest is Unknown with the budget recorded.
+    The naive tree is walked top-down (see the module docstring): classes
+    below a No get that No, classes below a depth-1 class with a unit
+    Jacobian minor get its Hensel Yes, and every other class is resolved
+    by a search.  Yes comes from a declared witness, a Newton certificate
+    or an exact representative at the class or a descendant, or Hensel;
+    No from exact exhaustion of the congruence tree; the rest is Unknown
+    with the budget recorded.  Each search has its own budget of
+    `search_budget` classes, so a cut search is answered but not memoised;
+    a Yes found later below a cut class still makes it Yes.
     """
     if delta < 0:
         raise DomainError("negative certification budget")
     naive = naive_tree(sys, depth_cap, node_budget)
     lifter = _Lifter(sys, depth_cap, delta, node_budget, search_budget)
-    # a class whose search ran out of budget is answered here but kept out
-    # of the memo, so every naive node gets a status
-    resolved = {}
-    for depth in range(depth_cap + 1):
-        for lab in naive.labels[depth]:
-            lab = tuple(lab)
-            resolved[(depth, lab)] = lifter.resolve(lab, depth, [search_budget])
-    statuses = {**lifter.status, **resolved}
-    # a Yes child forces a Yes parent even if the parent's search was cut
-    for depth in range(depth_cap, 0, -1):
-        for idx, lab in enumerate(naive.labels[depth]):
-            st = statuses[(depth, tuple(lab))]
+    p = sys.p
+    root = naive.labels[0][0]
+    g = lifter.root_system()
+    status = [[lifter.resolve(root, 0, g, [search_budget])]]
+    # the carried systems of the open classes of the current layer: those
+    # neither No nor covered by Hensel, whose children are still searched
+    carried = [None if isinstance(status[0][0], No) else g]
+    for depth in range(1, depth_cap + 1):
+        pl = p ** (depth - 1)
+        above = status[depth - 1]
+        up = naive.labels[depth - 1]
+        layer, nxt = [], []
+        for lab, par in zip(naive.labels[depth], naive.parents[depth - 1]):
+            g = carried[par]
+            if g is None:
+                layer.append(above[par])
+                nxt.append(None)
+                continue
+            st = lifter.hensel(lab) if depth == 1 else None
+            if st is not None:
+                g = None
+            else:
+                st = lifter.status.get((depth, lab))
+                if not isinstance(st, No):
+                    g = lifter.shift(g, tuple((a - b) // pl for a, b in zip(lab, up[par])))
+                if st is None:
+                    st = lifter.resolve(lab, depth, g, [search_budget])
+                if isinstance(st, No):
+                    g = None
+            layer.append(st)
+            nxt.append(g)
             if isinstance(st, Yes):
-                par = naive.parents[depth - 1][idx]
-                pkey = (depth - 1, tuple(naive.labels[depth - 1][par]))
-                if not isinstance(statuses[pkey], Yes):
-                    statuses[pkey] = Yes(st.certificate)
-    reported = {
-        k: v for k, v in statuses.items() if k[0] <= depth_cap
+                # a Yes class makes its ancestors Yes, also where a search
+                # was cut
+                j = par
+                for d in range(depth - 1, -1, -1):
+                    if isinstance(status[d][j], Yes):
+                        break
+                    status[d][j] = st
+                    if d:
+                        j = naive.parents[d - 1][j]
+        status.append(layer)
+        carried = nxt
+    statuses = {
+        (d, lab): st
+        for d in range(depth_cap + 1)
+        for lab, st in zip(naive.labels[d], status[d])
     }
-    root = (0,) * sys.n
-    if not isinstance(statuses[(0, root)], Yes):
-        return empty_tree(depth_cap), reported
-    t = restrict(
-        naive, lambda d, i: isinstance(statuses[(d, tuple(naive.labels[d][i]))], Yes)
-    )
-    return t, reported
+    if not isinstance(status[0][0], Yes):
+        return empty_tree(depth_cap), statuses
+    return restrict(naive, lambda d, i: isinstance(status[d][i], Yes)), statuses
 
 
 def _reduce_content(poly, p):

@@ -257,9 +257,13 @@ def power_residue_index(x: PadicApprox, e: int):
 def newton_certify(sys, a: PadicVec):
     """Multivariate Hensel certificate for lifting the residue class of a.
 
-    Returns Certified(e, depth) if some k x k Jacobian minor J at the integer
-    representative of a satisfies 2 v(det J) < min_i v(f_i(a)); then a genuine
-    Z_p-solution exists congruent to a mod p^depth with depth = v(f(a)) - e.
+    Returns Certified(e, depth, cols) if the k x k Jacobian minor J on the
+    columns cols at the integer representative of a satisfies
+    2 v(det J) < min_i v(f_i(a)); then a genuine Z_p-solution exists
+    congruent to a mod p^depth with depth = v(f(a)) - e.  When the
+    representative solves the system exactly no minor is needed, and the
+    result is Certified(0, prec) with cols None (`exact`): margin 0 then
+    says nothing about smoothness.
 
     Soundness: freeze the n-k coordinates outside the chosen columns at their
     representative values and run Newton on the square system g(t) = f(a+Et).
@@ -275,7 +279,7 @@ def newton_certify(sys, a: PadicVec):
     if k > n:
         raise DomainError("more equations than variables")
     if k == 0:
-        return Certified(0, a.prec)  # empty system: everything lifts
+        return Certified(0, a.prec, ())  # empty system: everything lifts
     p, m = a.p, a.prec
     rep = a.residues()
     fa = [sys.eval_poly(i, rep) for i in range(k)]
@@ -294,7 +298,7 @@ def newton_certify(sys, a: PadicVec):
         if vmin is None or vmin > 2 * e:
             depth = m if vmin is None else vmin - e
             if best is None or depth > best.depth or (depth == best.depth and e < best.margin):
-                best = Certified(e, depth)
+                best = Certified(e, depth, cols)
     return best if best is not None else INCONCLUSIVE
 
 
@@ -304,6 +308,12 @@ class Certified:
 
     margin: int  # valuation of the certifying Jacobian minor
     depth: int  # solution agrees with the tested point mod p^depth
+    cols: tuple[int, ...] | None = None  # the minor's columns; None: exact
+
+    @property
+    def exact(self) -> bool:
+        """The tested representative itself solves the system."""
+        return self.cols is None
 
 
 class _Inconclusive:

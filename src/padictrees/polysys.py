@@ -144,16 +144,36 @@ class PolySystem:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "PolySystem":
+    def from_json(data) -> "PolySystem":
+        """The system of a JSON document; a malformed one is a DomainError."""
+        if not isinstance(data, dict):
+            raise DomainError("a polynomial system must be a JSON object")
+        polys = data.get("polys")
+        if not isinstance(polys, list) or not all(isinstance(f, list) for f in polys):
+            raise DomainError("system field 'polys' must be a list of term lists")
+        for term in (t for f in polys for t in f):
+            if not (isinstance(term, dict) and "c" in term and isinstance(term.get("e"), list)):
+                raise DomainError(
+                    f"a term must be an object with a coefficient 'c' and an "
+                    f"exponent list 'e', not {term!r}"
+                )
+        ws = data.get("witnesses", [])
+        if not isinstance(ws, list) or not all(isinstance(w, list) for w in ws):
+            raise DomainError("system field 'witnesses' must be a list of points")
         polys = tuple(
-            tuple((int(t["c"]), tuple(int(x) for x in t["e"])) for t in poly)
-            for poly in data["polys"]
-        )
-        ws = tuple(
-            tuple(Fraction(s) for s in w) for w in data.get("witnesses", [])
+            tuple(
+                (_json_int(t["c"], "a coefficient"),
+                 tuple(_json_int(x, "an exponent") for x in t["e"]))
+                for t in f
+            )
+            for f in polys
         )
         return PolySystem(
-            int(data["p"]), int(data["n"]), polys, ws, bool(data.get("allow_empty", False))
+            _json_int(data.get("p"), "system field 'p'"),
+            _json_int(data.get("n"), "system field 'n'"),
+            polys,
+            tuple(tuple(_json_fraction(q) for q in w) for w in ws),
+            bool(data.get("allow_empty", False)),
         )
 
     @staticmethod
@@ -162,9 +182,31 @@ class PolySystem:
             return PolySystem.from_json(json.load(fh))
 
 
+def _json_int(value, what: str) -> int:
+    """An integer given as a JSON number or a decimal string."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DomainError(f"{what} must be an integer, not {value!r}")
+
+
+def _json_fraction(value) -> Fraction:
+    """A witness coordinate given as an integer or a string such as "3/4"."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"a witness coordinate must be a rational number, not {value!r}")
+
+
 def _int_det(mat) -> int:
     """Exact determinant by fraction-free expansion (matrices are tiny)."""
     k = len(mat)
+    if k == 0:
+        return 1  # the empty minor of a system without equations
     if k == 1:
         return mat[0][0]
     if k == 2:

@@ -210,3 +210,28 @@ def test_enum_deterministic_output(files, capsys, tmp_path):
         open(a + ".status.json", "rb").read()
         == open(b + ".status.json", "rb").read()
     )
+
+
+def test_enum_sidecar_rows_keep_the_class_depth(files, capsys, tmp_path):
+    out_path = str(tmp_path / "tree.json")
+    code, _, _ = run(capsys, "enum", files["cusp.json"], "--depth", "3", "--out", out_path)
+    assert code == 0
+    status = json.loads(open(out_path + ".status.json").read())
+    rows, certs = status["statuses"], status["certificates"]
+    assert max(row["depth"] for row in rows) == 3
+    assert len({(row["depth"], tuple(row["label"])) for row in rows}) == len(rows)
+    for row in rows:
+        assert all(0 <= x < 5 ** row["depth"] for x in row["label"])
+        if row["status"] != "yes":
+            continue
+        cert = certs[row["certificate"]]
+        assert cert["kind"] == row["kind"]
+        # the certified class is the row's class, a descendant or, for a
+        # Hensel certificate, the depth-1 class above it
+        d = min(cert["depth"], row["depth"])
+        assert [x % 5**d for x in cert["label"]] == [x % 5**d for x in row["label"]]
+        if row["kind"] == "hensel":
+            assert cert["depth"] == 1 and cert["cols"] == [0]
+        if row["kind"] == "newton":
+            assert {"cols", "margin", "lift_depth"} <= set(cert)
+    assert {"witness", "hensel"} <= {row["kind"] for row in rows if row["status"] == "yes"}

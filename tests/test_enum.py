@@ -1,10 +1,12 @@
 """Tests for residue-class enumeration and three-valued lifting."""
 
 import json
+import random
 
 import pytest
 
 from padictrees.cli import main
+from padictrees.datum import cusp_datum, expand_counts, point_datum
 from padictrees.enum_trees import (
     Garland,
     No,
@@ -17,12 +19,14 @@ from padictrees.enum_trees import (
     tree_on_cheese,
 )
 from padictrees.errors import DomainError, NodeBudgetExceeded
+from padictrees.padic import vec
 from padictrees.polysys import PolySystem, cusp_system, make_system
 from padictrees.trees import (
     Ball,
     Cheese,
     attach,
     find_node_by_label,
+    from_points,
     full_tree,
     is_isomorphic,
     path_tree,
@@ -269,3 +273,86 @@ def test_system_json_round_trip(tmp_path):
     path.write_text(__import__("json").dumps(sys.to_json()))
     back = PolySystem.load(str(path))
     assert back == sys
+
+
+def _root_system(p, roots, mults):
+    """prod (x - a)^m over the roots, with the repeated roots as witnesses."""
+    coeffs = [1]  # lowest degree first
+    for a, m in zip(roots, mults):
+        for _ in range(m):
+            coeffs = [0] + coeffs
+            for k in range(len(coeffs) - 1):
+                coeffs[k] -= a * coeffs[k + 1]
+    poly = [(c, (k,)) for k, c in enumerate(coeffs) if c]
+    return make_system(p, 1, [poly], [(a,) for a, m in zip(roots, mults) if m > 1])
+
+
+def test_lifted_tree_of_roots_matches_from_points():
+    # the lifted tree of a finite set of integer roots is the tree of the
+    # points: No pruning away from the roots, Hensel or Newton at simple
+    # roots, witnesses or exact representatives at repeated ones. A window
+    # of delta = 8 certifies every class of roots in [-4, 4].
+    rng = random.Random(806)
+    kinds = set()
+    for _ in range(80):
+        p, cap = rng.choice((2, 3, 5)), rng.randint(1, 6)
+        roots = rng.sample(range(-4, 5), rng.randint(1, 3))
+        mults = [rng.choice((1, 1, 2)) for _ in roots]
+        t, statuses = lifted_tree(_root_system(p, roots, mults), cap, 8)
+        case = (p, cap, roots, mults)
+        assert not any(isinstance(st, Unknown) for st in statuses.values()), case
+        want = from_points([vec(p, cap, [a]) for a in roots], Ball((0,), 0), cap)
+        assert is_isomorphic(t, want, with_labels=True), case
+        kinds |= {st.kind for st in statuses.values() if isinstance(st, Yes)}
+    assert kinds == {"witness", "newton", "exact", "hensel"}
+
+
+def test_classes_below_a_no_are_implied(tmp_path):
+    sys = cusp_system(5, with_witness=False)
+    _, statuses = lifted_tree(sys, 3, 3)
+    naive = naive_tree(sys, 3)
+    kids = naive.children_index()
+    implied = 0
+    for d in range(1, 3):
+        for i, lab in enumerate(naive.labels[d]):
+            st = statuses[d, tuple(lab)]
+            parent = tuple(x % 5 ** (d - 1) for x in lab)
+            if not isinstance(st, No) or isinstance(statuses[d - 1, parent], No):
+                continue
+            # every naive class below a decided No answers with that No
+            stack = [(d, i)]
+            while stack:
+                dd, j = stack.pop()
+                assert statuses[dd, tuple(naive.labels[dd][j])] is st
+                if dd < 3:
+                    below = kids[dd][j]
+                    implied += len(below)
+                    stack += [(dd + 1, c) for c in below]
+    assert implied == 100
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(sys.to_json()))
+    out = str(tmp_path / "tree.json")
+    assert main(["enum", str(path), "--depth", "3", "--out", out]) == 0
+    with open(out + ".status.json") as fh:
+        rows = json.load(fh)["statuses"]
+    by_key = {(r["depth"], tuple(r["label"])): r for r in rows}
+    assert len(by_key) == len(rows) < len(statuses)
+    for (d, lab), row in by_key.items():
+        if d:
+            parent = by_key[d - 1, tuple(x % 5 ** (d - 1) for x in lab)]
+            assert parent["status"] != "no"
+
+
+def test_singular_spine_is_never_hensel():
+    # an exact solution at a singular point gives margin 0 without a unit
+    # minor; reading it as smooth would cover the whole naive subtree
+    for sys, cap, datum, origin in (
+        (cusp_system(5), 6, cusp_datum(5), (0, 0)),
+        (make_system(3, 1, [[(1, (2,))]]), 16, point_datum(), (0,)),
+    ):
+        t, statuses = lifted_tree(sys, cap, cap)
+        assert t.layer_sizes() == expand_counts(datum, (), sys.p, cap)
+        for d in range(cap + 1):
+            assert statuses[d, origin].kind != "hensel", d
+        hensel = {st for st in statuses.values() if isinstance(st, Yes) and st.kind == "hensel"}
+        assert all(st.depth == 1 and st.label != origin for st in hensel)

@@ -114,3 +114,31 @@ def test_prime_beyond_the_limit_rejected(tmp_path, capsys):
     path.write_text(json.dumps(_system_json(2**61 + 1, 1, [(1, (1,))])))
     assert main(["naive", str(path), "--depth", "2"]) == 2
     assert "not prime" in capsys.readouterr().err
+
+
+def test_malformed_system_json_is_an_input_error(tmp_path, capsys):
+    good = _system_json(5, 2, [(1, (3, 0)), (-1, (0, 2))])
+    assert PolySystem.from_json(good).n == 2
+    for bad in (
+        {"p": 5, "n": 2, "polys": 5},
+        {"p": 5, "n": 2, "polys": [[[1, 2]]]},
+        [1, 2],
+        {**good, "polys": [[{"c": "1"}]]},
+        {**good, "polys": [[{"e": [3, 0]}]]},
+        {**good, "polys": [[{"c": "x", "e": [3, 0]}]]},
+        {**good, "polys": [[{"c": "1", "e": 3}]]},
+        {**good, "polys": [[{"c": "1", "e": [3, "y"]}]]},
+        {k: v for k, v in good.items() if k != "p"},
+        {**good, "n": [2]},
+        {**good, "witnesses": ["0"]},
+        {**good, "witnesses": [["1/0", "0"]]},
+    ):
+        with pytest.raises(DomainError):
+            PolySystem.from_json(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        for command in ("naive", "enum"):
+            assert main([command, str(path), "--depth", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert "Traceback" not in err

@@ -227,3 +227,16 @@ def test_newton_certificate_is_sound():
                 if sys.eval_poly(0, pt) % 9 == 0:
                     found = True
         assert found
+
+
+def test_newton_certify_tells_exact_from_minor():
+    cusp = make_system(5, 2, [[(1, (3, 0)), (-1, (0, 2))]])
+    exact = newton_certify(cusp, vec(5, 3, [0, 0]))
+    assert exact.exact and exact.cols is None and exact.margin == 0
+    # the cusp at (1, 4): f = -15 and d/dx = 3 is a unit
+    smooth = newton_certify(cusp, vec(5, 1, [1, 4]))
+    assert not smooth.exact and smooth.cols == (0,) and smooth.margin == 0
+    sqrt6 = newton_certify(make_system(5, 1, [[(1, (2,)), (-6, (0,))]]), vec(5, 1, [1]))
+    assert sqrt6.cols == (0,) and not sqrt6.exact
+    empty = newton_certify(make_system(3, 2, [], allow_empty=True), vec(3, 2, [1, 2]))
+    assert empty.cols == () and not empty.exact
