@@ -14,6 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -193,6 +196,12 @@ class TreeDatum:
             object.__setattr__(self, "_hash", h)
         return h
 
+    @cached_property
+    def skeleton_table(self) -> "SkeletonTable":
+        """Per-joint depth forms and term anchors, built on first use (set-ups
+        that only construct data never pay for it) and kept on the datum."""
+        return _skeleton_table(self.skeleton, self.m)
+
     def joint_branch(self, j: int) -> SideBranchDatum:
         return dict(self.joint_branches)[j]
 
@@ -275,44 +284,89 @@ class TreeDatum:
 
 
 def _branch_json(br: SideBranchDatum) -> dict:
-    return {
-        "fintree": list(br.parents),
-        "leaves": [
-            {"side": "terminal" if d is TERMINAL else d.to_json()}
-            for d in br.leaf_data
-        ],
-    }
+    # a run of k > 1 consecutive equal leaves is written once, with
+    # "repeat": k, so a star branch holds one copy of its side datum
+    leaves = []
+    for d, run in groupby(br.leaf_data):
+        leaf = {"side": "terminal" if d is TERMINAL else d.to_json()}
+        k = sum(1 for _ in run)
+        if k > 1:
+            leaf["repeat"] = k
+        leaves.append(leaf)
+    return {"fintree": list(br.parents), "leaves": leaves}
 
 
 def _branch_from_json(item: dict) -> SideBranchDatum:
-    # a leaf equal to the previous one reuses its datum, so a loaded star
-    # branch shares one object per side datum as star_branch does
+    # a run, and a leaf equal to the previous one (files written without
+    # "repeat"), reuse one datum, so a loaded star branch shares one object
+    # per side datum as star_branch does
     leaf_data = []
     prev = None
     for leaf in item["leaves"]:
         side = leaf["side"]
         if side == prev:
-            leaf_data.append(leaf_data[-1])
+            d = leaf_data[-1]
         else:
-            leaf_data.append(
-                TERMINAL if side == "terminal" else TreeDatum.from_json(side)
-            )
+            d = TERMINAL if side == "terminal" else TreeDatum.from_json(side)
+        k = int(leaf.get("repeat", 1))
+        if k < 1:
+            raise InvalidDatum(f"leaf repeat {k} is not positive")
+        leaf_data.extend([d] * k)
         prev = side
     return SideBranchDatum(tuple(item["fintree"]), tuple(leaf_data))
+
+
+class SkeletonTable(NamedTuple):
+    """What the skeleton passes read per joint, from one top-down pass.
+
+    depth_fns[j] is the depth of joint j (see joint_depth_fn).  Joints are
+    numbered parents first, so the subtree of joint a is the preorder
+    interval enter[a] <= enter[i] < leave[a].  i_star[j] (j >= 1) is the
+    latest earlier joint in the subtree of j's parent: the latest i < j
+    whose deepest common ancestor with j is that parent.
+    """
+
+    depth_fns: tuple[object, ...]
+    enter: tuple[int, ...]
+    leave: tuple[int, ...]
+    i_star: tuple[int, ...]
+
+    def is_ancestor(self, a: int, i: int) -> bool:
+        """Whether joint i lies in the subtree of joint a (a itself too)."""
+        return self.enter[a] <= self.enter[i] < self.leave[a]
+
+
+def _skeleton_table(sk: SkeletonDatum, m: int) -> SkeletonTable:
+    parents, n = sk.parents, sk.num_joints
+    depth_fns = [const_fn(0, m)] * n
+    for j in range(1, n):
+        ln, up = sk.lengths[j - 1], depth_fns[parents[j]]
+        depth_fns[j] = INFINITY if ln is INFINITY or up is INFINITY else up + ln
+    size = [1] * n
+    for j in range(n - 1, 0, -1):
+        size[parents[j]] += size[j]
+    # preorder: each joint's first free slot follows its earlier siblings
+    enter, free = [0] * n, [1] * n
+    for j in range(1, n):
+        a = parents[j]
+        enter[j] = free[a]
+        free[a] += size[j]
+        free[j] = enter[j] + 1
+    leave = [enter[j] + size[j] for j in range(n)]
+    i_star = [-1] * n
+    for j in range(1, n):
+        # the scan stops at the parent joint at the latest
+        lo, hi, i = enter[parents[j]], leave[parents[j]], j - 1
+        while not lo <= enter[i] < hi:
+            i -= 1
+        i_star[j] = i
+    return SkeletonTable(tuple(depth_fns), tuple(enter), tuple(leave), tuple(i_star))
 
 
 def joint_depth_fn(D: TreeDatum, joint: int):
     """Depth of a joint as a LinearFn of the parameters: the sum of the bone
     lengths on the path from the root; INFINITY behind an infinite bone."""
-    total = const_fn(0, D.m)
-    j = joint
-    while j != 0:
-        ln = D.skeleton.lengths[j - 1]
-        if ln is INFINITY:
-            return INFINITY
-        total = total + ln
-        j = D.skeleton.parents[j]
-    return total
+    return D.skeleton_table.depth_fns[joint]
 
 
 def joint_depth(D: TreeDatum, joint: int, kappa=()):
@@ -595,17 +649,6 @@ def validate(D: TreeDatum, require_normal=False, span=8, _memo=None) -> list[str
 # ---------------------------------------------------------------------------
 # Builtin library.
 # ---------------------------------------------------------------------------
-
-
-def _extend_set(M: GammaSet, lo=1, hi=INFINITY, r=0, rho=1) -> GammaSet:
-    """M x {lambda in [lo, hi], lambda = r mod rho} as a GammaSet."""
-    lo_fn = lo if isinstance(lo, LinearFn) else const_fn(lo, M.m)
-    hi_fn = hi if hi is INFINITY or isinstance(hi, LinearFn) else const_fn(hi, M.m)
-    cells = tuple(
-        GammaCell(c.bounds + ((lo_fn, hi_fn),), c.cong + ((r, rho),))
-        for c in M.cells
-    )
-    return GammaSet(cells, M.m + 1)
 
 
 def _whole_strip(M: GammaSet) -> GammaCell:

@@ -202,9 +202,9 @@ class GammaCell:
             if k % rho != r:
                 return False
             prefix = point[:i]
-            if Fraction(k) < lo.value(prefix):
+            if k < lo.value(prefix):
                 return False
-            if hi is not INFINITY and Fraction(k) > hi.value(prefix):
+            if hi is not INFINITY and k > hi.value(prefix):
                 return False
         return True
 

@@ -8,6 +8,15 @@ and the subtree below each leaf synthesized recursively.  The cloud keeps
 one sample point per expected tree node: every constructed value is
 1-Lipschitz in the sample coordinates, so within a sample's residue class
 the fiber tree does not change and a single witness spans the node.
+
+The samples behind one side-branch leaf, z = p^ka (1 + p^dw s), all share
+one valuation vector, and almost everything the synthesis decides depends on
+that vector only: the skeleton terms and which of them fall below the
+truncation depth, each u_ell's valuation, thin shell and root recipe, and
+which side branches attach where, with their ball centers.  So each call of
+realize builds a plan once per (datum, valuation vector, depth) and keeps
+the plans in a dict of its own; the per-sample pass then only evaluates
+unit parts and roots and adds residues.
 """
 
 from __future__ import annotations
@@ -16,8 +25,9 @@ import json
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import lcm
+from typing import NamedTuple
 
-from .datum import TERMINAL, TreeDatum, expand, joint_depth_fn, validate
+from .datum import TERMINAL, TreeDatum, expand, validate
 from .errors import (
     DomainError,
     InvalidDatum,
@@ -34,7 +44,6 @@ from .padic import (
     from_int,
     is_finite,
     pval,
-    unit_part,
     val,
     vec,
 )
@@ -78,14 +87,29 @@ class RealizationContext:
 # ---------------------------------------------------------------------------
 
 
-def _u_value(ell: LinearFn, xs, ctx: RealizationContext) -> PadicApprox:
+class _UPrep(NamedTuple):
+    """What _u_value decides from the valuation vector alone.
+
+    The value is known to precision prec.  With shell = (lam, i) it is
+    p^lam x_i.  Otherwise it is p^lval times the e-th root of the unit
+    part prod (x_i / p^kappa_i)^a_i over the powers (i, a_i, p^kappa_i),
+    divided by its unit-class representative mod p^(2 v(e) + 1), all
+    known mod p^uprec.
+    """
+
+    lval: int
+    prec: int
+    shell: tuple[int, int] | None
+    powers: tuple[tuple[int, int, int], ...] = ()
+    e: int = 1
+    ve: int = 0
+    uprec: int = 0
+
+
+def _u_prep(ell: LinearFn, kappa, xprec: int, ctx: RealizationContext) -> _UPrep:
+    """Prepare u_ell at samples of valuation vector kappa, each known to
+    precision xprec; raises every error _u_value can raise."""
     p, prec = ctx.p, ctx.prec
-    kappa = []
-    for x in xs:
-        v = val(x)
-        if not is_finite(v):
-            raise PrecisionExhausted("sample coordinate vanishes at working precision")
-        kappa.append(v)
     lv = ell.value(kappa)
     if lv.denominator != 1:
         raise DomainError(f"{ell} = {lv} is non-integral at {tuple(kappa)}")
@@ -102,18 +126,41 @@ def _u_value(ell: LinearFn, xs, ctx: RealizationContext) -> PadicApprox:
     )
     if special:
         lam, i = special[0]
-        return PadicApprox(p, min(prec, xs[i].prec + lam), p**lam * xs[i].residue)
-    U = from_int(p, prec, 1)
-    for i, a in enumerate(avec):
-        if a:
-            U = U * unit_part(xs[i]).pow(a)
-    mu = 2 * ve + 1
-    if U.prec <= mu:
+        return _UPrep(lval, min(prec, xprec + lam), (lam, i))
+    powers = tuple((i, a, p ** kappa[i]) for i, a in enumerate(avec) if a)
+    uprec = min([prec] + [xprec - kappa[i] for i, _, _ in powers])
+    if uprec <= 2 * ve + 1:
         raise PrecisionExhausted("not enough digits to fix the unit class")
-    rnu = ctx.unit_rep(U.residue, mu)
-    w = U * from_int(p, U.prec, rnu).inverse()
-    z = eth_root_lift(w, e, ve + 1)
-    return PadicApprox(p, min(prec, lval + z.prec), p**lval * z.residue)
+    # the root loses v(e) digits
+    out = min(prec, lval + uprec - ve)
+    return _UPrep(lval, out, None, powers, e, ve, uprec)
+
+
+def _u_eval(u: _UPrep, xs, ctx: RealizationContext) -> PadicApprox:
+    """The prepared value at the samples xs."""
+    p = ctx.p
+    if u.shell is not None:
+        lam, i = u.shell
+        return PadicApprox(p, u.prec, p**lam * xs[i].residue)
+    mod = p**u.uprec
+    unit = 1
+    for i, a, scale in u.powers:
+        unit = unit * pow(xs[i].residue // scale, a, mod) % mod
+    rnu = ctx.unit_rep(unit, 2 * u.ve + 1)
+    w = PadicApprox(p, u.uprec, unit * pow(rnu, -1, mod))
+    z = eth_root_lift(w, u.e, u.ve + 1)
+    return PadicApprox(p, u.prec, p**u.lval * z.residue)
+
+
+def _u_value(ell: LinearFn, xs, ctx: RealizationContext) -> PadicApprox:
+    kappa = []
+    for x in xs:
+        v = val(x)
+        if not is_finite(v):
+            raise PrecisionExhausted("sample coordinate vanishes at working precision")
+        kappa.append(v)
+    xprec = xs[0].prec if xs else ctx.prec
+    return _u_eval(_u_prep(ell, tuple(kappa), xprec, ctx), xs, ctx)
 
 
 def u_fn(ell: LinearFn, x: PadicVec, ctx: RealizationContext | None = None) -> PadicApprox:
@@ -136,23 +183,13 @@ def u_fn(ell: LinearFn, x: PadicVec, ctx: RealizationContext | None = None) -> P
 # ---------------------------------------------------------------------------
 
 
-def _meet(parents, i: int, j: int) -> int:
-    anc = set()
-    a = i
-    while True:
-        anc.add(a)
-        if a == 0:
-            break
-        a = parents[a]
-    b = j
-    while b not in anc:
-        b = parents[b]
-    return b
-
-
 def separating_depth(D: TreeDatum, i: int, j: int) -> LinearFn:
     """Depth of the deepest common ancestor of joints i and j."""
-    return joint_depth_fn(D, _meet(D.skeleton.parents, i, j))
+    table = D.skeleton_table
+    a = i
+    while not table.is_ancestor(a, j):
+        a = D.skeleton.parents[a]
+    return table.depth_fns[a]
 
 
 def _skeleton_terms(D: TreeDatum):
@@ -163,12 +200,12 @@ def _skeleton_terms(D: TreeDatum):
     ensures that two terms sharing a slot always have distinct valuations,
     so v(f_i - f_j) = separation + lambda holds with no cancellation.
     """
-    parents = D.skeleton.parents
+    table = D.skeleton_table
     terms = [()]
-    for j in range(1, len(parents)):
-        a = parents[j]
-        i_star = max(i for i in range(j) if _meet(parents, i, j) == a)
-        terms.append(terms[i_star] + ((i_star + 1, joint_depth_fn(D, a)),))
+    for j in range(1, D.skeleton.num_joints):
+        i = table.i_star[j]
+        d_fn = table.depth_fns[D.skeleton.parents[j]]
+        terms.append(terms[i] + ((i + 1, d_fn),))
     return terms
 
 
@@ -208,11 +245,11 @@ def skeleton_fns(D: TreeDatum, margins=None, ctx=None) -> SkeletonFns:
         lam_fn = const_fn(0, 0)
     else:
         lam_fn = var(D.m - 1, D.m) + margins[-1]
-    terms = _skeleton_terms(D)
     ells = tuple(
-        tuple((slot, d_fn + lam_fn) for slot, d_fn in t) for t in terms
+        tuple((slot, d_fn + lam_fn) for slot, d_fn in t)
+        for t in _skeleton_terms(D)
     )
-    width = max((slot for t in terms for slot, _ in t), default=0)
+    width = max((i + 1 for i in D.skeleton_table.i_star[1:]), default=0)
     return SkeletonFns(D.m, width, ells)
 
 
@@ -282,8 +319,7 @@ def _check_leafless(D: TreeDatum):
 def _ydim(D: TreeDatum, p: int) -> int:
     """Coordinates needed behind the reserved one: skeleton slots, branch
     embedding widths, and one extra per recursion level."""
-    terms = _skeleton_terms(D)
-    need = max((slot for t in terms for slot, _ in t), default=1)
+    need = max((i + 1 for i in D.skeleton_table.i_star[1:]), default=1)
     for br, _ in D.side_data():
         counts = [0] * len(br.parents)
         for q in br.parents[1:]:
@@ -316,77 +352,131 @@ def _embed_centers(br, p: int, width: int):
     return centers
 
 
-def _cloud(D, forms, lam_form, xs, lam, rem, dim, ctx, tag, out):
-    """Points realizing the fiber tree of D at the samples xs.
+class _Plan(NamedTuple):
+    """What the cloud of a datum decides from the valuation vector of its
+    samples alone, so samples sharing that vector share the work.
+
+    us holds the prepared u-values, one per distinct depth form whose term
+    is visible above the truncation depth.  rows[j - 1] = (i, k) builds
+    f_j from f_i by adding the k-th u-value at slot i + 1 (k is None for a
+    term truncated to zero).  virtual lists the virtual joints.  targets
+    holds the attached side branches as (anchor joint, tag, ka, leaves),
+    one leaf as (leaf, dw, ball center, sample count, plan of its side
+    datum, None below the truncation depth).
+    """
+
+    us: tuple[_UPrep, ...]
+    rows: tuple[tuple[int, int | None], ...]
+    virtual: tuple[int, ...]
+    targets: tuple
+
+
+def _plan(memo, D, forms, lam_form, kappa, lam, rem, dim, ctx):
+    """The plan of D at samples of valuation vector kappa, from memo or
+    built into it; None when rem <= 0.
 
     forms express the datum parameters as linear functions of the ambient
     valuation vector, lam_form the base depth; lam is its concrete value.
-    One point is appended per expected tree node to relative depth rem.
+    Points are wanted to relative depth rem.  Side plans are built depth
+    first, in the order the samples first reach them, so the first error
+    raised is the one a sample-by-sample synthesis would meet first.
     """
-    p, prec = ctx.p, ctx.prec
-    pmod = p**prec
     if rem <= 0:
-        # nothing below the truncation depth is visible; a single point
-        # anywhere in the fiber marks the node's presence
-        out.append(((0,) * dim, tag + "pad"))
-        return
-    kappa_amb = []
-    for x in xs:
-        v = val(x)
-        if not is_finite(v):
-            raise PrecisionExhausted("sample vanishes at working precision")
-        kappa_amb.append(v)
-    kappa_d = tuple(eval_linear(f, kappa_amb) for f in forms)
-
-    terms = _skeleton_terms(D)
-    ucache = {}
-
-    def uval(d_fn):
-        if d_fn not in ucache:
+        return None
+    key = (D, forms, lam_form, kappa, lam, rem, dim)
+    plan = memo.get(key)
+    if plan is not None:
+        return plan
+    p, prec = ctx.p, ctx.prec
+    kappa_d = tuple(eval_linear(f, kappa) for f in forms)
+    table = D.skeleton_table
+    us, index, rows = [], {}, []
+    for j in range(1, D.skeleton.num_joints):
+        d_fn = table.depth_fns[D.skeleton.parents[j]]
+        if d_fn not in index:
             # d_fn over the ambient valuations, shifted by the base depth
             ell = d_fn.compose(forms) + lam_form
-            if ell.value(kappa_amb) >= lam + rem:
+            if ell.value(kappa) >= lam + rem:
                 # the term only touches digits below the truncation depth
-                ucache[d_fn] = from_int(p, prec, 0)
+                index[d_fn] = None
             else:
-                ucache[d_fn] = _u_value(ell, xs, ctx)
-        return ucache[d_fn]
+                index[d_fn] = len(us)
+                us.append(_u_prep(ell, kappa, prec, ctx))
+        rows.append((table.i_star[j], index[d_fn]))
 
-    fres = []
-    for t in terms:
-        row = [0] * dim
-        for slot, d_fn in t:
-            row[slot] = (row[slot] + uval(d_fn).residue) % pmod
-        fres.append(tuple(row))
-
-    for j in range(D.skeleton.num_joints):
-        if D.skeleton.is_virtual(j):
-            out.append((fres[j], f"{tag}f{j}"))
-
-    e_new = var(len(xs), len(xs) + 1)
+    e_new = var(len(kappa), len(kappa) + 1)
+    targets = []
 
     def attach(anchor, lam_rel, br, coord_tag):
-        base = fres[anchor]
         ka = lam + lam_rel
         centers = _embed_centers(br, p, dim - 1)
+        leaves = []
         for leaf, side in zip(br.leaves(), br.leaf_data):
             if side is TERMINAL:
                 continue
             dw = br.depth_of(leaf)
-            yw = centers[leaf]
             rem2 = rem - lam_rel - dw
-            forms2 = (forms + (e_new - lam_form,))[: side.m]
-            lam_form2 = e_new + dw
+            # the samples z = p^ka (1 + p^dw s) have valuation ka
+            if rem2 > 0 and ka >= prec:
+                raise PrecisionExhausted("sample vanishes at working precision")
+            sub = _plan(
+                memo, side, (forms + (e_new - lam_form,))[: side.m],
+                e_new + dw, kappa + (ka,), ka + dw, rem2, dim - 1, ctx,
+            )
+            leaves.append((leaf, dw, centers[leaf], p ** max(rem2, 0), sub))
+        targets.append((anchor, coord_tag, ka, tuple(leaves)))
+
+    for j, br in D.joint_branches:
+        dj = eval_linear(table.depth_fns[j], kappa_d)
+        attach(j, dj, br, f"j{j}l{dj}")
+    for j, piece, br in D.bone_branches:
+        for lam_rel in range(1, rem + 1):
+            if piece.contains(kappa_d + (lam_rel,)):
+                attach(j, lam_rel, br, f"b{j}l{lam_rel}")
+    virtual = tuple(
+        j for j in range(D.skeleton.num_joints) if D.skeleton.is_virtual(j)
+    )
+    plan = memo[key] = _Plan(tuple(us), tuple(rows), virtual, tuple(targets))
+    return plan
+
+
+def _cloud(plan, xs, dim, ctx, tag, out):
+    """Points realizing the fiber tree of a plan's datum at the samples xs,
+    one per expected tree node; only the u-values and the residue sums
+    depend on the samples themselves."""
+    if plan is None:
+        # nothing below the truncation depth is visible; a single point
+        # anywhere in the fiber marks the node's presence
+        out.append(((0,) * dim, tag + "pad"))
+        return
+    p, prec = ctx.p, ctx.prec
+    pmod = p**prec
+    uvals = [_u_eval(u, xs, ctx).residue for u in plan.us]
+    fres = [(0,) * dim]
+    for i, k in plan.rows:
+        row = fres[i]
+        if k is not None:
+            row = list(row)
+            row[i + 1] = (row[i + 1] + uvals[k]) % pmod
+            row = tuple(row)
+        fres.append(row)
+
+    for j in plan.virtual:
+        out.append((fres[j], f"{tag}f{j}"))
+
+    for anchor, coord_tag, ka, leaves in plan.targets:
+        base = fres[anchor]
+        for leaf, dw, yw, samples, sub_plan in leaves:
             # samples z = p^ka (1 + p^dw s) give the full unit digit tree
             # below the leaf ball; one s per node suffices since the side
             # fiber varies 1-Lipschitz with z
-            for s in range(p ** max(rem2, 0)):
+            for s in range(samples):
                 zres = p**ka * (1 + p**dw * s)
                 z = PadicApprox(p, prec, zres)
                 sub = []
                 _cloud(
-                    side, forms2, lam_form2, xs + (z,), ka + dw, rem2,
-                    dim - 1, ctx, f"{tag}{coord_tag}w{leaf}z{s}/", sub,
+                    sub_plan, xs + (z,), dim - 1, ctx,
+                    f"{tag}{coord_tag}w{leaf}z{s}/", sub,
                 )
                 for yres, tg in sub:
                     row = [(base[0] + zres) % pmod]
@@ -395,14 +485,6 @@ def _cloud(D, forms, lam_form, xs, lam, rem, dim, ctx, tag, out):
                             (base[c + 1] + yres[c] + zres * yw[c]) % pmod
                         )
                     out.append((tuple(row), tg))
-
-    for j, br in D.joint_branches:
-        dj = eval_linear(joint_depth_fn(D, j), kappa_d)
-        attach(j, dj, br, f"j{j}l{dj}")
-    for j, piece, br in D.bone_branches:
-        for lam_rel in range(1, rem + 1):
-            if piece.contains(kappa_d + (lam_rel,)):
-                attach(j, lam_rel, br, f"b{j}l{lam_rel}")
 
 
 def _denom_val(D: TreeDatum, p: int) -> int:
@@ -438,7 +520,9 @@ def realize(D: TreeDatum, depth_cap: int, ctx=None, p=None) -> WitnessCloud:
     N = 1 + _ydim(D, ctx.p)
     out = []
     if D.skeleton.num_joints:
-        _cloud(D, (), const_fn(0, 0), (), 0, depth_cap, N, ctx, "", out)
+        # the plan memo lives for this call only
+        plan = _plan({}, D, (), const_fn(0, 0), (), 0, depth_cap, N, ctx)
+        _cloud(plan, (), N, ctx, "", out)
     pts = tuple(vec(ctx.p, ctx.prec, row) for row, _ in out)
     return WitnessCloud(ctx.p, ctx.prec, 0, N, pts, tuple(t for _, t in out))
 

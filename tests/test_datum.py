@@ -233,6 +233,20 @@ def test_deep_chain_expands_without_recursion(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["1"] * 1601
 
 
+def test_deep_chain_validates():
+    assert validate(chain_datum(1500)) == []
+
+
+def test_deep_chain_realizes(tmp_path, capsys):
+    src = tmp_path / "chain.datum.json"
+    src.write_text(json.dumps(chain_datum(400).to_json()))
+    out = tmp_path / "chain.cloud.json"
+    argv = ["realize", str(src), "--p", "3", "--depth", "405", "--check",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert "matches the expansion through depth 405" in capsys.readouterr().err
+
+
 def test_expand_rejects_bad_parameters():
     D = y_datum(linear([1]), m=1)
     with pytest.raises(ParameterOutsideDomain):

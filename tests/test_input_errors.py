@@ -5,6 +5,7 @@ import json
 import pytest
 
 from padictrees.cli import main
+from padictrees.datum import zpn_datum
 from padictrees.errors import DomainError
 from padictrees.polysys import PRIME_LIMIT, PolySystem, _is_prime, make_system
 from padictrees.trees import TruncTree, full_tree, is_isomorphic, path_tree, y_tree
@@ -142,3 +143,15 @@ def test_malformed_system_json_is_an_input_error(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, err
             assert "Traceback" not in err
+
+
+def test_leaf_repeat_must_be_positive(tmp_path, capsys):
+    data = zpn_datum(1, 3).to_json()
+    (leaf,) = data["joint_branches"][0]["leaves"]
+    assert leaf["repeat"] == 2
+    path = tmp_path / "bad.datum.json"
+    for k in (0, -2):
+        leaf["repeat"] = k
+        path.write_text(json.dumps(data))
+        assert main(["expand", str(path), "--p", "3", "--depth", "2"]) == 2
+        assert "repeat" in capsys.readouterr().err

@@ -9,15 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datum_gen import _joint_depths, sample_data
-from padictrees.datum import joint_depth, joint_depth_fn, y_datum
+from padictrees.datum import (
+    SkeletonDatum,
+    TreeDatum,
+    joint_depth,
+    joint_depth_fn,
+    terminal_branch,
+    y_datum,
+)
 from padictrees.errors import DomainError
 from padictrees.gamma import (
     INFINITY,
     LinearFn,
+    const_fn,
     eval_linear,
     linear,
     merge_cong,
     var,
+    whole_quadrant,
 )
 from padictrees.polysys import shift_scale
 from padictrees.padic import vec
@@ -92,6 +101,41 @@ def test_joint_depth_fn_matches_generated_depths():
             else:
                 assert eval_linear(fn, ()) == want[j]
                 assert joint_depth(D, j) == want[j]
+
+
+def _ancestors(parents, j):
+    out = [j]
+    while j:
+        j = parents[j]
+        out.append(j)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
+def test_skeleton_table_matches_root_walks(draws):
+    # random joint trees numbered parents first, lengths 1 (leaves: inf)
+    parents = (-1,) + tuple(d % (j + 1) for j, d in enumerate(draws))
+    kids = set(parents[1:])
+    lengths = tuple(
+        const_fn(1, 0) if j in kids else INFINITY for j in range(1, len(parents))
+    )
+    sk = SkeletonDatum(parents, lengths)
+    D = TreeDatum(
+        level=0, m=0, domain=whole_quadrant(0), rho=1, skeleton=sk,
+        joint_branches=tuple((j, terminal_branch()) for j in sk.real_joints()),
+        bone_branches=(),
+    )
+    table = D.skeleton_table
+    for j in range(1, len(parents)):
+        up = _ancestors(parents, j)
+        want = INFINITY if j not in kids else const_fn(len(up) - 1, 0)
+        assert table.depth_fns[j] == want
+        # the latest earlier joint whose deepest common ancestor with j is
+        # j's parent
+        meets = {i: next(a for a in up if a in _ancestors(parents, i)) for i in range(j)}
+        assert table.i_star[j] == max(i for i in range(j) if meets[i] == parents[j])
+        assert {a for a in range(len(parents)) if table.is_ancestor(a, j)} == set(up)
 
 
 def test_joint_depth_fn_parametrized():

@@ -6,6 +6,7 @@ order, every call returns a fresh list, and a datum whose repeated leaves
 share one object gives the same series as one whose copies are distinct.
 """
 
+import json
 from dataclasses import replace
 
 from datum_gen import sample_data
@@ -87,17 +88,56 @@ def _corpus():
     return data
 
 
+def _assert_runs_shared(D):
+    for br in _side_branches(D):
+        for prev, leaf in zip(br.leaf_data, br.leaf_data[1:]):
+            if leaf == prev:
+                assert leaf is prev
+
+
 def test_json_round_trip_shares_repeated_leaves():
     for D in _corpus():
-        E = TreeDatum.from_json(D.to_json())
+        E = TreeDatum.from_json(json.loads(json.dumps(D.to_json())))
         assert E == D
         assert hash(E) == hash(D)
-        for br in _side_branches(E):
-            for prev, leaf in zip(br.leaf_data, br.leaf_data[1:]):
-                if leaf == prev:
-                    assert leaf is prev
+        _assert_runs_shared(E)
     star = TreeDatum.from_json(zpn_datum(2, 5).to_json()).joint_branch(0)
     assert len({id(side) for side in star.leaf_data}) == 1
+
+
+def _without_repeat(data):
+    """Datum JSON with every leaf written out, as files without "repeat"
+    have it."""
+    out = dict(data)
+    for key in ("joint_branches", "bone_branches"):
+        out[key] = []
+        for item in data[key]:
+            leaves = []
+            for leaf in item["leaves"]:
+                side = leaf["side"]
+                if side != "terminal":
+                    side = _without_repeat(side)
+                leaves.extend({"side": side} for _ in range(leaf.get("repeat", 1)))
+            out[key].append({**item, "leaves": leaves})
+    return out
+
+
+def test_json_writes_a_run_of_equal_leaves_once():
+    data = zpn_datum(2, 5).to_json()
+    (leaf,) = data["joint_branches"][0]["leaves"]
+    assert leaf["repeat"] == 24
+    # written out leaf by leaf, the same datum takes about 254 KB
+    assert len(json.dumps(data)) < 8000
+    assert len(json.dumps(_without_repeat(data))) > 200_000
+    # equal leaves are a run even when they are distinct objects
+    assert _unshared(zpn_datum(2, 3)).to_json() == zpn_datum(2, 3).to_json()
+
+
+def test_json_without_repeat_still_loads():
+    for D in _corpus():
+        E = TreeDatum.from_json(_without_repeat(D.to_json()))
+        assert E == D
+        _assert_runs_shared(E)
 
 
 def _unshared(D):

@@ -1,5 +1,7 @@
 """Tests for witness clouds: u-functions, skeleton separation, synthesis."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -149,19 +151,49 @@ def test_realize_point_is_path():
     assert report.cloud_layers == [1] * 7
 
 
+NAMED_CASES = [
+    (y_datum(0, m=0), 3, 6),
+    (y_datum(3, m=0), 3, 8),
+    (zpn_datum(1, 3), 3, 5),
+    (zpn_datum(2, 3), 3, 4),
+    (cusp_datum(3), 3, 6),
+    (cusp_datum(5), 5, 4),
+]
+
+
 def test_realize_named_data():
-    cases = [
-        (y_datum(0, m=0), 3, 6),
-        (y_datum(3, m=0), 3, 8),
-        (zpn_datum(1, 3), 3, 5),
-        (zpn_datum(2, 3), 3, 4),
-        (cusp_datum(3), 3, 6),
-        (cusp_datum(5), 5, 4),
-    ]
-    for D, p, cap in cases:
+    for D, p, cap in NAMED_CASES:
         cloud = realize(D, cap, p=p)
         report = verify_realization(cloud, D, p, cap)
         assert report.ok, (report.message, D)
+
+
+# sha256 of json.dumps(cloud.to_json()): the clouds are deterministic, and a
+# speed-up of the synthesis must leave every byte of them as it is
+GOLDEN_CLOUDS = [
+    "4c64af25c4966a6d0cc697f570721a391a69b5b791a4e8a9a3935b944b92c3a6",
+    "472fa933d35a69aa637c890882ec31e3fe96e3c52d94f8b2ee2998ecfd0a87bf",
+    "b17ed95abf85991f3f99d0bc012d3315b34930732085e5939acbc12ee53fbbcc",
+    "68615ffd2bb5194cf47cd8c371a8547f23cd7af4dcfce908a74c3e536295c584",
+    "35784eb426a765c2a764905fcf7cdd4c7a708b4c43b798fd4e2785f93d9043e6",
+    "b3341cfaca3693763afa863daa945311aa46302311302c5ed80d337b02175036",
+    # sample_data(101, 4, 3, 6) at depth 6
+    "4c64af25c4966a6d0cc697f570721a391a69b5b791a4e8a9a3935b944b92c3a6",
+    "4c64af25c4966a6d0cc697f570721a391a69b5b791a4e8a9a3935b944b92c3a6",
+    "87277f88375fe2f94e18a11629e8863dd970100fbcda5175b05553711513d324",
+    "a2903dfb5a81cd22933072cc3b96b38774c09be120cb6657034aa63b4f6a2b73",
+]
+
+
+def test_realize_golden_clouds():
+    cases = NAMED_CASES + [(D, 3, 6) for D in sample_data(101, 4, 3, 6)]
+    got = [
+        hashlib.sha256(
+            json.dumps(realize(D, cap, p=p).to_json()).encode()
+        ).hexdigest()
+        for D, p, cap in cases
+    ]
+    assert got == GOLDEN_CLOUDS
 
 
 def test_realize_rejects_parametrized():
