@@ -145,33 +145,28 @@ def _cmd_enum(args) -> int:
     )
     _emit_tree(t, args)
     if args.out:
-        # a class below a No class is No too: its row is implied and left
-        # out; a yes row points into the list of distinct certificates
-        p = system.p
-        kept = sorted(
-            ((d, lab), st) for (d, lab), st in statuses.items()
-            if not (
-                d and isinstance(st, No)
-                and isinstance(statuses[d - 1, tuple(x % p ** (d - 1) for x in lab)], No)
-            )
-        )
+        # one row per listed class, written as JSON text and joined as
+        # json.dumps would; a class below a No is No too and its row is
+        # implied; a yes row points into the list of distinct certificates
         rows, certs, index = [], [], {}
-        for (d, lab), st in kept:
-            row = {"depth": d, "label": list(lab)}
+        for (d, lab), st in sorted(statuses.listed.items()):
+            head = f'{{"depth": {d}, "label": [{", ".join(map(str, lab))}], "status": '
             if isinstance(st, Yes):
                 # one entry per certificate object, which many classes share
                 if id(st) not in index:
                     index[id(st)] = len(certs)
                     certs.append(_certificate_json(st))
-                row.update(status="yes", kind=st.kind, certificate=index[id(st)])
+                rows.append(f'{head}"yes", "kind": "{st.kind}", "certificate": {index[id(st)]}}}')
             elif isinstance(st, No):
-                row.update(status="no", exhausted_at=st.exhausted_at)
+                rows.append(f'{head}"no", "exhausted_at": {st.exhausted_at}}}')
             else:
-                row.update(status="unknown", budget=st.budget)
-            rows.append(row)
-        sidecar = {"format": 1, "certificates": certs, "statuses": rows}
-        _emit(json.dumps(sidecar), args.out + ".status.json")
-    unknowns = sum(isinstance(st, Unknown) for st in statuses.values())
+                rows.append(f'{head}"unknown", "budget": {st.budget}}}')
+        sidecar = (
+            f'{{"format": 1, "certificates": {json.dumps(certs)}, '
+            f'"statuses": [{", ".join(rows)}]}}'
+        )
+        _emit(sidecar, args.out + ".status.json")
+    unknowns = sum(isinstance(st, Unknown) for st in statuses.listed.values())
     if unknowns:
         print(f"{unknowns} Unknown statuses remain", file=sys.stderr)
         return EXIT_UNKNOWN

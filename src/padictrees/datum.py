@@ -254,7 +254,19 @@ class TreeDatum:
 
     @staticmethod
     def from_json(data: dict) -> "TreeDatum":
+        """The datum of a JSON document; a malformed shape is a DomainError."""
+        if not isinstance(data, dict):
+            raise DomainError("a tree datum must be a JSON object")
+        for key in _DATUM_FIELDS:
+            if key not in data:
+                raise DomainError(f"tree datum field {key!r} is missing")
         sk = data["skeleton"]
+        if not (isinstance(sk, dict) and isinstance(sk.get("parents"), list)
+                and isinstance(sk.get("bones"), list)):
+            raise DomainError(
+                "tree datum field 'skeleton' must be an object with lists "
+                "'parents' and 'bones'"
+            )
         parents = tuple(sk["parents"])
         lengths = tuple(linear_from_json(bone["len"]) for bone in sk["bones"])
         return TreeDatum(
@@ -281,6 +293,11 @@ class TreeDatum:
     def load(path: str) -> "TreeDatum":
         with open(path) as fh:
             return TreeDatum.from_json(json.load(fh))
+
+
+_DATUM_FIELDS = (
+    "level", "m", "domain", "rho", "skeleton", "joint_branches", "bone_branches",
+)
 
 
 def _branch_json(br: SideBranchDatum) -> dict:

@@ -9,10 +9,12 @@ descendant, or a unit Jacobian minor (Hensel).  No needs the congruence
 solutions below the class to die out at a finite depth, Unknown carries
 the exhausted budget.
 
-lifted_tree walks the naive tree top-down, one layer at a time:
+lifted_tree walks the naive tree top-down, one layer at a time, through
+naive_tree's expand callback:
 
-- A class decided No is not expanded.  Every naive class below it gets
-  that No: a subclass of a class without Z_p-points has none.
+- A class decided No is not expanded: the classes below it are never
+  listed.  Each of them has that No, since a subclass of a class without
+  Z_p-points has none, and the status map answers it on demand.
 - A class at depth >= 1 whose Jacobian has a k x k minor that is a unit
   mod p lifts, with its whole naive subtree, by Hensel's lemma.  Its naive
   descendants get its Yes without a search.  The Jacobian mod p depends on
@@ -29,6 +31,7 @@ search by p^n per level.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -168,19 +171,29 @@ def _children(sys: PolySystem, label, depth):
     ]
 
 
-def naive_tree(sys: PolySystem, depth_cap: int, node_budget: int = 10**7) -> TruncTree:
+def naive_tree(
+    sys: PolySystem, depth_cap: int, node_budget: int = 10**7, *, expand=None
+) -> TruncTree:
     """Layered BFS of all residue solutions f = 0 mod p^depth, with the
-    absolute residue tuples as labels."""
+    absolute residue tuples as labels.
+
+    expand(depth, labels, parents), called after each layer is built (with
+    no parents at the root), returns one flag per class of the layer: list
+    its children or not.  The default lists every class.  The node budget
+    counts the listed classes.
+    """
     if depth_cap < 0:
         raise DomainError("negative depth cap")
-    root = (0,) * sys.n
-    labels = [[root]]
+    layer = [(0,) * sys.n]
+    labels = [layer]
     parents = []
-    layer = [root]
+    keep = None if expand is None else expand(0, layer, [])
     used = 1
     for depth in range(depth_cap):
         nxt_par, nxt_lab = [], []
         for idx, lab in enumerate(layer):
+            if keep is not None and not keep[idx]:
+                continue
             for child in _children(sys, lab, depth):
                 nxt_par.append(idx)
                 nxt_lab.append(child)
@@ -190,6 +203,8 @@ def naive_tree(sys: PolySystem, depth_cap: int, node_budget: int = 10**7) -> Tru
         parents.append(nxt_par)
         labels.append(nxt_lab)
         layer = nxt_lab
+        if expand is not None:
+            keep = expand(depth + 1, nxt_lab, nxt_par)
     return TruncTree(depth_cap, parents, labels=labels)
 
 
@@ -275,8 +290,17 @@ class _Lifter:
         self.search_budget = search_budget
         self.alive_budget = [node_budget]
         self.status: dict = {}
+        self.quick: dict = {}
         self.wit_cache: dict = {}
         self.hensel_cache: dict = {}
+        # the listed tree so far, one entry per layer: labels, parents
+        # (none at the root) and statuses
+        self.labels: list = []
+        self.parents: list = []
+        self.statuses: list = []
+        # the carried systems of the open classes of the last layer: those
+        # neither No nor covered by Hensel, whose children are searched
+        self.carried: list = []
 
     def root_system(self):
         zero = (0,) * self.sys.n
@@ -345,17 +369,22 @@ class _Lifter:
         return table.get(label)
 
     def _quick_yes(self, label, depth):
-        if depth:
-            st = self.hensel(label)
-            if st is not None:
-                return st
-        w = self._witness_for(label, depth)
-        if w is not None:
-            return Yes(w, "witness", depth, label)
-        cert = newton_certify(self.sys, vec(self.p, depth, label))
-        if isinstance(cert, Certified) and cert.depth >= depth:
-            return Yes(cert, "exact" if cert.exact else "newton", depth, label)
-        return None
+        """A Yes without a search, or None; memoised with the None, since a
+        cut search is answered again from every class below it."""
+        key = (depth, label)
+        if key in self.quick:
+            return self.quick[key]
+        st = self.hensel(label) if depth else None
+        if st is None:
+            w = self._witness_for(label, depth)
+            if w is not None:
+                st = Yes(w, "witness", depth, label)
+            else:
+                cert = newton_certify(self.sys, vec(self.p, depth, label))
+                if isinstance(cert, Certified) and cert.depth >= depth:
+                    st = Yes(cert, "exact" if cert.exact else "newton", depth, label)
+        self.quick[key] = st
+        return st
 
     def resolve(self, label, depth, g, budget) -> object:
         """Status of the class, searched through its carried system g."""
@@ -421,6 +450,144 @@ class _Lifter:
         return out
 
 
+    def walk(self, depth, labels, parents):
+        """naive_tree's expand callback: the statuses of a listed layer,
+        and whether to list each class's children (not for a No)."""
+        if depth == 0:
+            g = self.root_system()
+            layer = [self.resolve(labels[0], 0, g, [self.search_budget])]
+            nxt = [g]
+        else:
+            pl = self.p ** (depth - 1)
+            above, up = self.statuses[-1], self.labels[-1]
+            layer, nxt = [], []
+            for lab, par in zip(labels, parents):
+                g = self.carried[par]
+                if g is None:
+                    # below a depth-1 class covered by Hensel
+                    layer.append(above[par])
+                    nxt.append(None)
+                    continue
+                st = self.hensel(lab) if depth == 1 else None
+                if st is not None:
+                    g = None
+                else:
+                    st = self.status.get((depth, lab))
+                    if not isinstance(st, No):
+                        g = self.shift(g, tuple((a - b) // pl for a, b in zip(lab, up[par])))
+                    if st is None:
+                        st = self.resolve(lab, depth, g, [self.search_budget])
+                layer.append(st)
+                nxt.append(g)
+                if isinstance(st, Yes):
+                    self._propagate(st, depth - 1, par)
+        self.labels.append(labels)
+        self.parents.append(parents)
+        self.statuses.append(layer)
+        keep = [not isinstance(st, No) for st in layer]
+        self.carried = [g if k else None for g, k in zip(nxt, keep)]
+        return keep
+
+    def _propagate(self, st, depth, j):
+        """A Yes class makes its ancestors Yes, also where a search was
+        cut; (depth, j) is its parent in the listed tree."""
+        for d in range(depth, -1, -1):
+            if isinstance(self.statuses[d][j], Yes):
+                return
+            self.statuses[d][j] = st
+            if d:
+                j = self.parents[d][j]
+
+
+class _Statuses(Mapping):
+    """The status of every naive class, keyed by (depth, residue label).
+
+    Only the listed classes are stored: the root and the children of the
+    classes that are not No.  A naive class below a No answers with that
+    No, found by walking its label up; iteration and len list these
+    implied classes too, with _children below each listed No.
+    """
+
+    def __init__(self, sys: PolySystem, depth_cap: int, listed: dict):
+        self.sys = sys
+        self.depth_cap = depth_cap
+        self.listed = listed
+        self._len = None
+
+    def _is_naive(self, key) -> bool:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            return False
+        d, lab = key
+        if not (isinstance(d, int) and 0 <= d <= self.depth_cap):
+            return False
+        if not (isinstance(lab, tuple) and len(lab) == self.sys.n):
+            return False
+        mod = self.sys.p**d
+        return all(isinstance(x, int) and 0 <= x < mod for x in lab) and all(
+            self.sys.eval_poly(i, lab) % mod == 0 for i in range(len(self.sys.polys))
+        )
+
+    def __getitem__(self, key):
+        st = self.listed.get(key)
+        if st is not None:
+            return st
+        if not self._is_naive(key):
+            raise KeyError(key)
+        d, lab = key
+        p = self.sys.p
+        for k in range(d - 1, -1, -1):
+            st = self.listed.get((k, tuple(x % p**k for x in lab)))
+            if st is not None:
+                return st
+        raise KeyError(key)  # unreachable: the root is listed
+
+    def __contains__(self, key) -> bool:
+        return key in self.listed or self._is_naive(key)
+
+    def implied(self):
+        """(key, No) for every naive class below a listed No."""
+        for (d, lab), st in self.listed.items():
+            if not isinstance(st, No):
+                continue
+            stack = [(d, lab)]
+            while stack:
+                dd, above = stack.pop()
+                if dd == self.depth_cap:
+                    continue
+                for kid in _children(self.sys, above, dd):
+                    yield (dd + 1, kid), st
+                    stack.append((dd + 1, kid))
+
+    def __iter__(self):
+        yield from self.listed
+        for key, _ in self.implied():
+            yield key
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = len(self.listed) + sum(1 for _ in self.implied())
+        return self._len
+
+    def items(self):
+        return _StatusItems(self)
+
+    def values(self):
+        return _StatusValues(self)
+
+
+class _StatusItems(ItemsView):
+    def __iter__(self):
+        yield from self._mapping.listed.items()
+        yield from self._mapping.implied()
+
+
+class _StatusValues(ValuesView):
+    def __iter__(self):
+        yield from self._mapping.listed.values()
+        for _, st in self._mapping.implied():
+            yield st
+
+
 def lifted_tree(
     sys: PolySystem,
     depth_cap: int,
@@ -432,71 +599,32 @@ def lifted_tree(
     plus the status map keyed by (depth, residue label), which answers
     every naive class.
 
-    The naive tree is walked top-down (see the module docstring): classes
-    below a No get that No, classes below a depth-1 class with a unit
-    Jacobian minor get its Hensel Yes, and every other class is resolved
-    by a search.  Yes comes from a declared witness, a Newton certificate
-    or an exact representative at the class or a descendant, or Hensel;
-    No from exact exhaustion of the congruence tree; the rest is Unknown
-    with the budget recorded.  Each search has its own budget of
-    `search_budget` classes, so a cut search is answered but not memoised;
-    a Yes found later below a cut class still makes it Yes.
+    The naive tree is walked top-down (see the module docstring), and only
+    the root and the children of classes that are not No are listed;
+    node_budget bounds the listed classes.  The status map stores the
+    listed classes (its `listed` dict) and answers a class below a No with
+    that No on demand.  Classes below a depth-1 class with a unit Jacobian
+    minor get its Hensel Yes, and every other class is resolved by a
+    search.  Yes comes from a declared witness, a Newton certificate or an
+    exact representative at the class or a descendant, or Hensel; No from
+    exact exhaustion of the congruence tree; the rest is Unknown with the
+    budget recorded.  Each search has its own budget of `search_budget`
+    classes, so a cut search is answered but not memoised; a Yes found
+    later below a cut class still makes it Yes.
     """
     if delta < 0:
         raise DomainError("negative certification budget")
-    naive = naive_tree(sys, depth_cap, node_budget)
     lifter = _Lifter(sys, depth_cap, delta, node_budget, search_budget)
-    p = sys.p
-    root = naive.labels[0][0]
-    g = lifter.root_system()
-    status = [[lifter.resolve(root, 0, g, [search_budget])]]
-    # the carried systems of the open classes of the current layer: those
-    # neither No nor covered by Hensel, whose children are still searched
-    carried = [None if isinstance(status[0][0], No) else g]
-    for depth in range(1, depth_cap + 1):
-        pl = p ** (depth - 1)
-        above = status[depth - 1]
-        up = naive.labels[depth - 1]
-        layer, nxt = [], []
-        for lab, par in zip(naive.labels[depth], naive.parents[depth - 1]):
-            g = carried[par]
-            if g is None:
-                layer.append(above[par])
-                nxt.append(None)
-                continue
-            st = lifter.hensel(lab) if depth == 1 else None
-            if st is not None:
-                g = None
-            else:
-                st = lifter.status.get((depth, lab))
-                if not isinstance(st, No):
-                    g = lifter.shift(g, tuple((a - b) // pl for a, b in zip(lab, up[par])))
-                if st is None:
-                    st = lifter.resolve(lab, depth, g, [search_budget])
-                if isinstance(st, No):
-                    g = None
-            layer.append(st)
-            nxt.append(g)
-            if isinstance(st, Yes):
-                # a Yes class makes its ancestors Yes, also where a search
-                # was cut
-                j = par
-                for d in range(depth - 1, -1, -1):
-                    if isinstance(status[d][j], Yes):
-                        break
-                    status[d][j] = st
-                    if d:
-                        j = naive.parents[d - 1][j]
-        status.append(layer)
-        carried = nxt
-    statuses = {
+    listed = naive_tree(sys, depth_cap, node_budget, expand=lifter.walk)
+    status = lifter.statuses
+    statuses = _Statuses(sys, depth_cap, {
         (d, lab): st
         for d in range(depth_cap + 1)
-        for lab, st in zip(naive.labels[d], status[d])
-    }
+        for lab, st in zip(listed.labels[d], status[d])
+    })
     if not isinstance(status[0][0], Yes):
         return empty_tree(depth_cap), statuses
-    return restrict(naive, lambda d, i: isinstance(status[d][i], Yes)), statuses
+    return restrict(listed, lambda d, i: isinstance(status[d][i], Yes)), statuses
 
 
 def _reduce_content(poly, p):

@@ -111,6 +111,25 @@ def test_cut_search_still_answers_every_naive_node():
     assert t.num_nodes() <= naive.num_nodes()
 
 
+def test_cut_searches_share_their_newton_tests(monkeypatch):
+    # every class below a cut search searches again; the Newton tests it
+    # repeats, the failed ones too, are answered from a memo
+    from padictrees import enum_trees
+
+    seen = {}
+    certify = enum_trees.newton_certify
+
+    def counted(sys, x):
+        key = (tuple(c.residue for c in x.coords), x.coords[0].prec)
+        seen[key] = seen.get(key, 0) + 1
+        return certify(sys, x)
+
+    monkeypatch.setattr(enum_trees, "newton_certify", counted)
+    _, statuses = lifted_tree(_cubes(), 4, 3)
+    assert any(isinstance(st, Unknown) for st in statuses.values())
+    assert seen and max(seen.values()) == 1
+
+
 def test_cut_search_exits_with_unknown(tmp_path, capsys):
     path = tmp_path / "cubes.json"
     path.write_text(json.dumps(_cubes().to_json()))
@@ -341,6 +360,39 @@ def test_classes_below_a_no_are_implied(tmp_path):
         if d:
             parent = by_key[d - 1, tuple(x % 5 ** (d - 1) for x in lab)]
             assert parent["status"] != "no"
+
+
+def test_listed_walk_stops_below_a_no():
+    # x^2 = 0 at p = 3: the naive tree doubles every other depth, but the
+    # walk lists only the spine and the children of its classes
+    sys = make_system(3, 1, [[(1, (2,))]])
+    t, statuses = lifted_tree(sys, 40, 40)
+    assert t.layer_sizes() == [1] * 41
+    assert len(statuses.listed) < 3 * 41
+    assert all(isinstance(statuses[d, (0,)], Yes) for d in range(41))
+    # x = 9 mod 27 solves x^2 = 0 mod 3^4 and not mod 3^5: the classes
+    # below it are naive, not listed, and answer with its No
+    no = statuses[3, (9,)]
+    assert no == No(5)
+    assert (4, (36,)) not in statuses.listed
+    assert statuses[4, (36,)] is no
+
+
+def test_status_map_answers_exactly_the_naive_classes():
+    sys = cusp_system(5, with_witness=False)
+    _, statuses = lifted_tree(sys, 3, 3)
+    naive = naive_tree(sys, 3)
+    assert len(statuses) == naive.num_nodes() > len(statuses.listed)
+    assert sorted(statuses) == sorted(
+        (d, tuple(lab)) for d in range(4) for lab in naive.labels[d]
+    )
+    assert dict(statuses.items()) == {k: statuses[k] for k in statuses}
+    # (2, 1) misses x^3 = y^2 mod 5; (0, 0) lies past the cap, (25, 0)
+    # outside the labels mod 5^2, and (0,) has the wrong length
+    for key in ((1, (2, 1)), (4, (0, 0)), (2, (25, 0)), (1, (0,)), (-1, (0, 0))):
+        assert key not in statuses
+        with pytest.raises(KeyError):
+            statuses[key]
 
 
 def test_singular_spine_is_never_hensel():

@@ -155,3 +155,25 @@ def test_leaf_repeat_must_be_positive(tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert main(["expand", str(path), "--p", "3", "--depth", "2"]) == 2
         assert "repeat" in capsys.readouterr().err
+
+
+def test_malformed_datum_json_is_an_input_error(tmp_path, capsys):
+    good = zpn_datum(1, 3).to_json()
+    path = tmp_path / "bad.datum.json"
+    for bad, field in (
+        ([1, 2], "JSON object"),
+        ({"format": 1}, "'level'"),
+        ({k: v for k, v in good.items() if k != "skeleton"}, "'skeleton'"),
+        ({k: v for k, v in good.items() if k != "bone_branches"}, "'bone_branches'"),
+        ({**good, "skeleton": 5}, "'skeleton'"),
+    ):
+        path.write_text(json.dumps(bad))
+        for argv in (
+            ["expand", str(path), "--p", "3", "--depth", "2"],
+            ["realize", str(path), "--p", "3", "--depth", "2"],
+            ["poincare", "--datum", str(path)],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert field in err and "Traceback" not in err
