@@ -449,7 +449,6 @@ class _Lifter:
         self.status[key] = out
         return out
 
-
     def walk(self, depth, labels, parents):
         """naive_tree's expand callback: the statuses of a listed layer,
         and whether to list each class's children (not for a No)."""
