@@ -3,9 +3,12 @@
 A level-d tree datum describes a family of rooted trees over a parameter
 set M in Gamma^m: a finite skeleton of joints connected by bones whose
 lengths are linear functions (infinite only into leaves), a side branch at
-every real joint, and piecewise side branches along bones indexed by cells
-covering the strip N_e = {(kappa, lambda) : depth(v) < lambda < depth(v')}.
-A side branch is a finite tree whose leaves either stop (Terminal) or carry
+every real joint, and piecewise side branches along bones.  The pieces of a
+bone e from joint v to joint v' are cells of depths lying strictly inside
+the bone, and they partition the strip
+N_e = {(kappa, lambda) : depth(v) < lambda < depth(v')}; validate decides
+this, and every route that sums or walks a bone relies on it.  A side branch
+is a finite tree whose leaves either stop (Terminal) or carry
 T(Z_p) x (expansion of a side datum of lower level).
 """
 
@@ -16,6 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
+from math import ceil, floor
 from typing import NamedTuple
 
 from .errors import (
@@ -30,6 +34,7 @@ from .gamma import (
     GammaCell,
     GammaSet,
     LinearFn,
+    _objects_with,
     const_fn,
     eval_linear,
     linear,
@@ -202,8 +207,12 @@ class TreeDatum:
         that only construct data never pay for it) and kept on the datum."""
         return _skeleton_table(self.skeleton, self.m)
 
+    @cached_property
+    def _joint_map(self) -> dict[int, SideBranchDatum]:
+        return dict(self.joint_branches)
+
     def joint_branch(self, j: int) -> SideBranchDatum:
-        return dict(self.joint_branches)[j]
+        return self._joint_map[j]
 
     def bone_pieces(self, j: int):
         return [(piece, br) for jj, piece, br in self.bone_branches if jj == j]
@@ -254,7 +263,8 @@ class TreeDatum:
 
     @staticmethod
     def from_json(data: dict) -> "TreeDatum":
-        """The datum of a JSON document; a malformed shape is a DomainError."""
+        """The datum of a JSON document; a malformed shape is a DomainError
+        that names the field."""
         if not isinstance(data, dict):
             raise DomainError("a tree datum must be a JSON object")
         for key in _DATUM_FIELDS:
@@ -262,28 +272,41 @@ class TreeDatum:
                 raise DomainError(f"tree datum field {key!r} is missing")
         sk = data["skeleton"]
         if not (isinstance(sk, dict) and isinstance(sk.get("parents"), list)
-                and isinstance(sk.get("bones"), list)):
+                and _objects_with(sk.get("bones"), "len")):
             raise DomainError(
-                "tree datum field 'skeleton' must be an object with lists "
-                "'parents' and 'bones'"
+                "tree datum field 'skeleton' must be an object with a list "
+                "'parents' and a list 'bones' of objects with 'len'"
             )
+        for key, fields in _BRANCH_FIELDS.items():
+            if not _objects_with(data[key], *fields):
+                raise DomainError(
+                    f"tree datum field {key!r} must be a list of objects with "
+                    + ", ".join(map(repr, fields))
+                )
         parents = tuple(sk["parents"])
-        lengths = tuple(linear_from_json(bone["len"]) for bone in sk["bones"])
+        lengths = tuple(
+            _read("skeleton bone field 'len'", linear_from_json, bone["len"])
+            for bone in sk["bones"]
+        )
         return TreeDatum(
             level=int(data["level"]),
             m=int(data["m"]),
-            domain=GammaSet.from_json(data["domain"]),
+            domain=_read(
+                "tree datum field 'domain'", GammaSet.from_json, data["domain"]
+            ),
             rho=int(data["rho"]),
             skeleton=SkeletonDatum(parents, lengths),
             joint_branches=tuple(
-                (int(item["joint"]), _branch_from_json(item))
+                (int(item["joint"]), _read("a joint branch", _branch_from_json, item))
                 for item in data["joint_branches"]
             ),
             bone_branches=tuple(
                 (
                     int(item["bone"]),
-                    GammaCell.from_json(item["piece"]),
-                    _branch_from_json(item),
+                    _read(
+                        "bone branch field 'piece'", GammaCell.from_json, item["piece"]
+                    ),
+                    _read("a bone branch", _branch_from_json, item),
                 )
                 for item in data["bone_branches"]
             ),
@@ -298,6 +321,18 @@ class TreeDatum:
 _DATUM_FIELDS = (
     "level", "m", "domain", "rho", "skeleton", "joint_branches", "bone_branches",
 )
+_BRANCH_FIELDS = {
+    "joint_branches": ("joint", "fintree", "leaves"),
+    "bone_branches": ("bone", "piece", "fintree", "leaves"),
+}
+
+
+def _read(what: str, read, value):
+    """read(value); a DomainError it raises is told what was being read."""
+    try:
+        return read(value)
+    except DomainError as exc:
+        raise DomainError(f"{what}: {exc}") from None
 
 
 def _branch_json(br: SideBranchDatum) -> dict:
@@ -317,6 +352,10 @@ def _branch_from_json(item: dict) -> SideBranchDatum:
     # a run, and a leaf equal to the previous one (files written without
     # "repeat"), reuse one datum, so a loaded star branch shares one object
     # per side datum as star_branch does
+    if not (isinstance(item["fintree"], list) and _objects_with(item["leaves"], "side")):
+        raise DomainError(
+            "'fintree' must be a list and 'leaves' a list of objects with 'side'"
+        )
     leaf_data = []
     prev = None
     for leaf in item["leaves"]:
@@ -572,20 +611,48 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
 # ---------------------------------------------------------------------------
 
 
-def _sample_params(D: TreeDatum, span=8, limit=40):
+# validate probes the domain in the box [0, _SPAN]^m (4 * _SPAN when that
+# box misses it), keeps the first _LIMIT points, and checks piece coverage
+# of each bone up to _SPAN depths below its parent joint
+_SPAN = 8
+_LIMIT = 40
+
+
+def _sample_params(D: TreeDatum):
     if D.m == 0:
         return [()]
-    pts = members(D.domain, [span] * D.m)
+    pts = members(D.domain, [_SPAN] * D.m)
     if not pts:
-        pts = members(D.domain, [4 * span] * D.m)
-    return pts[:limit]
+        pts = members(D.domain, [4 * _SPAN] * D.m)
+    return pts[:_LIMIT]
 
 
-def validate(D: TreeDatum, require_normal=False, span=8, _memo=None) -> list[str]:
+def _depth_range(piece: GammaCell, kappa):
+    """The least and the greatest depth lambda with kappa + (lambda,) in the
+    piece (INFINITY when unbounded above); None when kappa is outside the
+    piece's parameter range or no lambda fits."""
+    m = len(kappa)
+    if not piece.contains_prefix(kappa):
+        return None
+    (lo, hi), (r, rho) = piece.bounds[m], piece.cong[m]
+    least = ceil(lo.value(kappa))
+    least += (r - least) % rho
+    if hi is INFINITY:
+        return least, INFINITY
+    top = floor(hi.value(kappa))
+    top -= (top - r) % rho
+    return (least, top) if least <= top else None
+
+
+def validate(D: TreeDatum, require_normal=False, _memo=None) -> list[str]:
     """Structural checks; returns a list of violation descriptions.
 
-    Each distinct side datum is checked once per call; a side datum carried
-    by k leaves still contributes its messages k times, in leaf order.
+    This is the one place the bone-piece rule is decided: at each sampled
+    parameter point, every piece of a bone lies strictly between the depths
+    of its two joints (exactly in lambda), and the pieces cover the bone's
+    first depths without overlap.  Each distinct side datum is checked once
+    per call; a side datum carried by k leaves still contributes its
+    messages k times, in leaf order.
     """
     if _memo is None:
         _memo = {}
@@ -594,7 +661,7 @@ def validate(D: TreeDatum, require_normal=False, span=8, _memo=None) -> list[str
         return list(hit)
     report = []
     try:
-        samples = _sample_params(D, span)
+        samples = _sample_params(D)
     except Exception as exc:  # malformed domain
         return [f"domain: {exc}"]
     if D.m and not samples:
@@ -618,18 +685,42 @@ def validate(D: TreeDatum, require_normal=False, span=8, _memo=None) -> list[str
             if len(residues) > 1:
                 report.append(f"normal: bone {j} length mod rho varies on domain")
 
-    # piece coverage and disjointness of each N_e
+    # each piece lies strictly inside its bone, and the pieces cover the
+    # bone's depths without overlap, both decided from exact depth ranges
     for j in range(1, D.skeleton.num_joints):
         pieces = D.bone_pieces(j)
         lo_fn = joint_depth_fn(D, D.skeleton.parents[j])
         ln = D.skeleton.lengths[j - 1]
         if lo_fn is INFINITY:
             continue
+        overrun = set()  # pieces already reported
         for kappa in samples:
             lo = eval_linear(lo_fn, kappa)
-            hi = lo + (span + 1 if ln is INFINITY else eval_linear(ln, kappa))
-            for lam in range(lo + 1, min(hi, lo + span + 1)):
-                hits = sum(piece.contains(kappa + (lam,)) for piece, _ in pieces)
+            hi = INFINITY if ln is INFINITY else lo + eval_linear(ln, kappa)
+            ranges = []
+            for i, (piece, _) in enumerate(pieces):
+                rng = _depth_range(piece, kappa)
+                if rng is None:
+                    continue
+                least, top = rng
+                ranges.append((least, top, piece.cong[D.m][1]))
+                if i in overrun:
+                    continue
+                if least <= lo:
+                    reach = f"{least} <= {lo}"
+                elif hi is not INFINITY and (top is INFINITY or top >= hi):
+                    reach = f"{top} >= {hi}"
+                else:
+                    continue
+                overrun.add(i)
+                report.append(f"bone {j}: a piece reaches depth {reach} at {kappa}")
+            end = lo + _SPAN + 1 if hi is INFINITY else min(hi, lo + _SPAN + 1)
+            for lam in range(lo + 1, end):
+                hits = sum(
+                    least <= lam and (top is INFINITY or lam <= top)
+                    and (lam - least) % rho == 0
+                    for least, top, rho in ranges
+                )
                 if hits == 0:
                     report.append(f"bone {j}: no piece covers {kappa + (lam,)}")
                 elif hits > 1:
@@ -653,7 +744,7 @@ def validate(D: TreeDatum, require_normal=False, span=8, _memo=None) -> list[str
                 report.append("side datum expands to the empty tree")
             report.extend(
                 f"side: {msg}"
-                for msg in validate(side, require_normal, span, _memo)
+                for msg in validate(side, require_normal, _memo)
             )
     if D.level == 0:
         for br, _ in D.side_data():

@@ -151,8 +151,24 @@ def linear_json(fn):
     return {"a": [str(a) for a in fn.coeffs], "b": str(fn.const)}
 
 
+def _objects_with(items, *fields) -> bool:
+    """Whether items is a JSON list of objects that each hold the fields."""
+    return isinstance(items, list) and all(
+        isinstance(item, dict) and all(f in item for f in fields) for item in items
+    )
+
+
 def linear_from_json(item):
-    return INFINITY if item == "inf" else linear(item["a"], item["b"])
+    """The form (or INFINITY) of a JSON item; a malformed one is a
+    DomainError."""
+    if item == "inf":
+        return INFINITY
+    if not (isinstance(item, dict) and isinstance(item.get("a"), list) and "b" in item):
+        raise DomainError(
+            f"a linear form must be \"inf\" or an object with a list 'a' and 'b', "
+            f"not {item!r}"
+        )
+    return linear(item["a"], item["b"])
 
 
 def eval_linear(fn, point):
@@ -194,8 +210,11 @@ class GammaCell:
         return len(self.bounds)
 
     def contains(self, point) -> bool:
-        if len(point) != self.m:
-            return False
+        return len(point) == self.m and self.contains_prefix(point)
+
+    def contains_prefix(self, point) -> bool:
+        """Whether the first len(point) coordinates satisfy their bounds and
+        congruences at point."""
         for i, (k, (lo, hi), (r, rho)) in enumerate(
             zip(point, self.bounds, self.cong)
         ):
@@ -214,6 +233,16 @@ class GammaCell:
 
     @staticmethod
     def from_json(data: dict) -> "GammaCell":
+        """The cell of a JSON object; a malformed shape is a DomainError."""
+        if not (
+            isinstance(data, dict)
+            and _objects_with(data.get("bounds"), "lo", "hi")
+            and _objects_with(data.get("cong"), "r", "rho")
+        ):
+            raise DomainError(
+                "a cell must be an object with a list 'bounds' of {'lo', 'hi'} "
+                f"and a list 'cong' of {{'r', 'rho'}}, not {data!r}"
+            )
         bounds = [
             (linear_from_json(item["lo"]), linear_from_json(item["hi"]))
             for item in data["bounds"]
@@ -265,6 +294,9 @@ class GammaSet:
 
     @staticmethod
     def from_json(data: dict) -> "GammaSet":
+        """The set of a JSON object; a malformed shape is a DomainError."""
+        if not (isinstance(data, dict) and isinstance(data.get("cells"), list)):
+            raise DomainError(f"a set must be an object with a list 'cells', not {data!r}")
         cells = tuple(GammaCell.from_json(c) for c in data["cells"])
         m = int(data["m"]) if "m" in data else (cells[0].m if cells else 0)
         return GammaSet(cells, m)

@@ -113,38 +113,42 @@ def from_rational(p: int, prec: int, q: Fraction) -> PadicApprox:
 
 @dataclass(frozen=True)
 class PadicVec:
-    """A tuple of PadicApprox sharing p and prec."""
+    """A vector over Z_p known modulo p^prec: one reduced residue per
+    coordinate, so every coordinate shares p and prec by construction."""
 
-    coords: tuple[PadicApprox, ...]
+    p: int
+    prec: int
+    res: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.coords:
+        if not self.res:
             raise DomainError("empty vector")
-        p, prec = self.coords[0].p, self.coords[0].prec
-        if any(c.p != p or c.prec != prec for c in self.coords):
-            raise DomainError("non-uniform p or precision")
-        object.__setattr__(self, "coords", tuple(self.coords))
+        if self.prec < 0:
+            raise DomainError("precision must be non-negative")
+        m = self.p**self.prec
+        object.__setattr__(self, "res", tuple(r % m for r in self.res))
 
     @property
-    def p(self) -> int:
-        return self.coords[0].p
-
-    @property
-    def prec(self) -> int:
-        return self.coords[0].prec
+    def coords(self) -> tuple[PadicApprox, ...]:
+        return tuple(PadicApprox(self.p, self.prec, r) for r in self.res)
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.res)
 
     def residues(self) -> tuple[int, ...]:
-        return tuple(c.residue for c in self.coords)
+        return self.res
 
     def __sub__(self, other: "PadicVec") -> "PadicVec":
-        return PadicVec(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        if self.p != other.p:
+            raise DomainError("mixed primes")
+        return PadicVec(
+            self.p, min(self.prec, other.prec),
+            tuple(a - b for a, b in zip(self.res, other.res)),
+        )
 
 
 def vec(p: int, prec: int, values) -> PadicVec:
-    return PadicVec(tuple(PadicApprox(p, prec, int(a)) for a in values))
+    return PadicVec(p, prec, tuple(int(a) for a in values))
 
 
 def val(x: PadicApprox) -> Valuation:

@@ -29,7 +29,6 @@ from .gamma import (
     GammaCell,
     GammaSet,
     cell_gf,
-    cell_members,
     members,
     merge_cong,
 )
@@ -120,19 +119,6 @@ def _restrict_piece(piece: GammaCell, c: GammaCell, m_d: int):
     return GammaCell(tuple(bounds), tuple(cong))
 
 
-def _check_piece_in_strip(D: TreeDatum, j: int, piece: GammaCell, span=8):
-    """Sampled check that a bone piece stays strictly between its joints."""
-    lo_fn = joint_depth_fn(D, D.skeleton.parents[j])
-    ln = D.skeleton.lengths[j - 1]
-    for pt in cell_members(piece, [span] * piece.m)[:60]:
-        kappa, lam = pt[: D.m], pt[D.m]
-        lo = int(lo_fn.value(kappa))
-        if lam <= lo:
-            raise InvalidDatum(f"piece on bone {j} reaches depth {lam} <= {lo}")
-        if ln is not INFINITY and lam >= lo + int(ln.value(kappa)):
-            raise InvalidDatum(f"piece on bone {j} reaches beyond the bone")
-
-
 def datum_poincare(D: TreeDatum, p: int) -> RationalGF:
     """Exact P_T(Z, Y1..Ym) = sum over kappa, lambda of N_lambda(kappa)
     Z^lambda Y^kappa for the family of trees described by the datum."""
@@ -173,7 +159,6 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int, memo: dict) -> RationalGF:
         g = _branch_gf(D.joint_branch(j), shifted, p, memo)
         total = gf_add(total, substitute(g, f"Y{m_tot + 1}", 1, {"Z": 1}))
     for j, piece, br in D.bone_branches:
-        _check_piece_in_strip(D, j, piece)
         cells = []
         for c in dom.cells:
             merged = _restrict_piece(piece, c, D.m)

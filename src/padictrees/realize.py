@@ -44,8 +44,8 @@ from .padic import (
     from_int,
     is_finite,
     pval,
-    val,
     vec,
+    vvec,
 )
 from .trees import Ball, from_points, is_isomorphic
 
@@ -136,31 +136,32 @@ def _u_prep(ell: LinearFn, kappa, xprec: int, ctx: RealizationContext) -> _UPrep
     return _UPrep(lval, out, None, powers, e, ve, uprec)
 
 
-def _u_eval(u: _UPrep, xs, ctx: RealizationContext) -> PadicApprox:
-    """The prepared value at the samples xs."""
+def _u_eval(u: _UPrep, xs, ctx: RealizationContext) -> int:
+    """The residue mod p^u.prec of the prepared value at the samples whose
+    residues are xs."""
     p = ctx.p
     if u.shell is not None:
         lam, i = u.shell
-        return PadicApprox(p, u.prec, p**lam * xs[i].residue)
+        return p**lam * xs[i] % p**u.prec
     mod = p**u.uprec
     unit = 1
     for i, a, scale in u.powers:
-        unit = unit * pow(xs[i].residue // scale, a, mod) % mod
+        unit = unit * pow(xs[i] // scale, a, mod) % mod
     rnu = ctx.unit_rep(unit, 2 * u.ve + 1)
     w = PadicApprox(p, u.uprec, unit * pow(rnu, -1, mod))
     z = eth_root_lift(w, u.e, u.ve + 1)
-    return PadicApprox(p, u.prec, p**u.lval * z.residue)
+    return p**u.lval * z.residue % p**u.prec
 
 
-def _u_value(ell: LinearFn, xs, ctx: RealizationContext) -> PadicApprox:
-    kappa = []
-    for x in xs:
-        v = val(x)
-        if not is_finite(v):
+def _u_value(ell: LinearFn, x: PadicVec | None, ctx: RealizationContext) -> PadicApprox:
+    """u_ell at the sample vector x (None for an unparametrized datum)."""
+    xs, kappa, xprec = (), (), ctx.prec
+    if x is not None:
+        xs, kappa, xprec = x.residues(), vvec(x), x.prec
+        if not all(map(is_finite, kappa)):
             raise PrecisionExhausted("sample coordinate vanishes at working precision")
-        kappa.append(v)
-    xprec = xs[0].prec if xs else ctx.prec
-    return _u_eval(_u_prep(ell, tuple(kappa), xprec, ctx), xs, ctx)
+    u = _u_prep(ell, kappa, xprec, ctx)
+    return PadicApprox(ctx.p, u.prec, _u_eval(u, xs, ctx))
 
 
 def u_fn(ell: LinearFn, x: PadicVec, ctx: RealizationContext | None = None) -> PadicApprox:
@@ -175,7 +176,7 @@ def u_fn(ell: LinearFn, x: PadicVec, ctx: RealizationContext | None = None) -> P
     """
     if ctx is None:
         ctx = RealizationContext(x.p, x.prec)
-    return _u_value(ell, x.coords, ctx)
+    return _u_value(ell, x, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +228,9 @@ class SkeletonFns:
             if x is None:
                 raise DomainError("a context is required without samples")
             ctx = RealizationContext(x.p, x.prec)
-        xs = x.coords if x is not None else ()
         out = [from_int(ctx.p, ctx.prec, 0)] * self.width
         for slot, ell in self.ells[j]:
-            out[slot - 1] = out[slot - 1] + _u_value(ell, xs, ctx)
+            out[slot - 1] = out[slot - 1] + _u_value(ell, x, ctx)
         return tuple(out)
 
 
@@ -283,7 +283,7 @@ class WitnessCloud:
     @staticmethod
     def from_json(data: dict) -> "WitnessCloud":
         p, prec = int(data["p"]), int(data["prec"])
-        pts = tuple(vec(p, prec, [int(r) for r in row]) for row in data["points"])
+        pts = tuple(vec(p, prec, row) for row in data["points"])
         return WitnessCloud(
             p, prec, int(data["m"]), int(data["N"]), pts,
             tuple(data["provenance"]),
@@ -451,7 +451,7 @@ def _cloud(plan, xs, dim, ctx, tag, out):
         return
     p, prec = ctx.p, ctx.prec
     pmod = p**prec
-    uvals = [_u_eval(u, xs, ctx).residue for u in plan.us]
+    uvals = [_u_eval(u, xs, ctx) for u in plan.us]
     fres = [(0,) * dim]
     for i, k in plan.rows:
         row = fres[i]
@@ -472,10 +472,9 @@ def _cloud(plan, xs, dim, ctx, tag, out):
             # fiber varies 1-Lipschitz with z
             for s in range(samples):
                 zres = p**ka * (1 + p**dw * s)
-                z = PadicApprox(p, prec, zres)
                 sub = []
                 _cloud(
-                    sub_plan, xs + (z,), dim - 1, ctx,
+                    sub_plan, xs + (zres % pmod,), dim - 1, ctx,
                     f"{tag}{coord_tag}w{leaf}z{s}/", sub,
                 )
                 for yres, tg in sub:
@@ -503,12 +502,14 @@ def _denom_val(D: TreeDatum, p: int) -> int:
 def realize(D: TreeDatum, depth_cap: int, ctx=None, p=None) -> WitnessCloud:
     """A witness cloud whose tree matches expand(D, (), p, depth_cap).
 
-    The datum must be unparametrized, of level at most 2, and leafless.
+    The datum must be unparametrized, of level at most 2, and leafless;
+    these refusals come before validate's checks.
     """
     if D.m != 0:
         raise NotRealizable("only unparametrized data are realized")
     if D.level > 2:
         raise LevelCap(f"level-{D.level} datum; realization stops at level 2")
+    _check_leafless(D)
     if ctx is None:
         if p is None:
             raise DomainError("a prime or a context is required")
@@ -516,14 +517,13 @@ def realize(D: TreeDatum, depth_cap: int, ctx=None, p=None) -> WitnessCloud:
     issues = validate(D)
     if issues:
         raise InvalidDatum("; ".join(issues))
-    _check_leafless(D)
     N = 1 + _ydim(D, ctx.p)
     out = []
     if D.skeleton.num_joints:
         # the plan memo lives for this call only
         plan = _plan({}, D, (), const_fn(0, 0), (), 0, depth_cap, N, ctx)
         _cloud(plan, (), N, ctx, "", out)
-    pts = tuple(vec(ctx.p, ctx.prec, row) for row, _ in out)
+    pts = tuple(PadicVec(ctx.p, ctx.prec, row) for row, _ in out)
     return WitnessCloud(ctx.p, ctx.prec, 0, N, pts, tuple(t for _, t in out))
 
 

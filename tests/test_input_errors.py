@@ -166,6 +166,15 @@ def test_malformed_datum_json_is_an_input_error(tmp_path, capsys):
         ({k: v for k, v in good.items() if k != "skeleton"}, "'skeleton'"),
         ({k: v for k, v in good.items() if k != "bone_branches"}, "'bone_branches'"),
         ({**good, "skeleton": 5}, "'skeleton'"),
+        ({**good, "domain": 5}, "'domain'"),
+        ({**good, "skeleton": {"parents": [], "bones": [5]}}, "'skeleton'"),
+        ({**good, "bone_branches": [{**good["bone_branches"][0], "piece": 5}]}, "'piece'"),
+        (
+            {**good, "joint_branches": [
+                {k: v for k, v in good["joint_branches"][0].items() if k != "leaves"}
+            ]},
+            "'leaves'",
+        ),
     ):
         path.write_text(json.dumps(bad))
         for argv in (

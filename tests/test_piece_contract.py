@@ -1,0 +1,92 @@
+"""The bone-piece rule is decided by validate alone, and every route agrees.
+
+Bone pieces lie strictly inside their bone.  validate checks this exactly in
+lambda at each sampled parameter point; datum_poincare and realize run
+validate and refuse what it reports, so the exact series never counts a
+depth twice or beyond a bone's end.
+"""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+from datum_gen import sample_data
+from padictrees.cli import main
+from padictrees.datum import (
+    SkeletonDatum,
+    TreeDatum,
+    expand,
+    expand_counts,
+    terminal_branch,
+    validate,
+)
+from padictrees.errors import InvalidDatum
+from padictrees.gamma import INFINITY, const_fn, whole_quadrant
+from padictrees.poincare import datum_poincare
+from padictrees.ratfun import expand_series
+from test_datum import chain_datum, strip_piece
+
+
+def test_routes_agree_on_sampled_data():
+    cap = 10
+    for p in (3, 5):
+        for D in sample_data(21, 12, p, cap):
+            sizes = expand(D, (), p, cap).layer_sizes()
+            assert expand_counts(D, (), p, cap) == sizes
+            assert expand_series(datum_poincare(D, p), cap) == sizes
+
+
+def _with_piece(D, j, piece):
+    """D with the pieces of bone j replaced by one terminal piece."""
+    kept = tuple(b for b in D.bone_branches if b[0] != j)
+    return replace(D, bone_branches=kept + ((j, piece, terminal_branch()),))
+
+
+def _short_second_bone():
+    """Bones of length 300 and 5, then an infinite one; the second bone's
+    piece is unbounded."""
+    return TreeDatum(
+        level=0, m=0, domain=whole_quadrant(0), rho=1,
+        skeleton=SkeletonDatum(
+            (-1, 0, 1, 2), (const_fn(300, 0), const_fn(5, 0), INFINITY)
+        ),
+        joint_branches=tuple((j, terminal_branch()) for j in range(3)),
+        bone_branches=(
+            (1, strip_piece(0, 1, 299), terminal_branch()),
+            (2, strip_piece(0, 301), terminal_branch()),
+            (3, strip_piece(0, 306), terminal_branch()),
+        ),
+    )
+
+
+# the strip of bone 299 in chain_datum(300) is lambda > 298
+OVERRUNS = [
+    (_with_piece(chain_datum(300), 299, strip_piece(0, 250)), "depth 250 <= 298"),
+    (_with_piece(chain_datum(300), 299, strip_piece(0, 1)), "depth 1 <= 298"),
+    (_short_second_bone(), "depth inf >= 305"),
+]
+
+
+@pytest.mark.parametrize("D, msg", OVERRUNS)
+def test_overrunning_piece_is_rejected_by_every_route(D, msg, tmp_path, capsys):
+    assert any(msg in issue for issue in validate(D))
+    with pytest.raises(InvalidDatum, match=msg):
+        datum_poincare(D, 3)
+    path = tmp_path / "overrun.datum.json"
+    path.write_text(json.dumps(D.to_json()))
+    for argv in (
+        ["poincare", "--datum", str(path), "--coeffs", "310"],
+        ["realize", str(path), "--p", "3", "--depth", "4"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert msg in err
+
+
+def test_piece_on_the_bone_boundary_is_accepted():
+    D = _with_piece(chain_datum(300), 299, strip_piece(0, 299))
+    assert validate(D) == []
+    assert expand_series(datum_poincare(D, 3), 310) == expand_counts(D, (), 3, 310)
+
