@@ -37,81 +37,75 @@ class _UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser; given a command name, it holds only that command's
+    subparser, which answers that command's lines as the full parser does."""
     ap = _Parser(prog="padictrees", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def add(name, help):
+        return sub.add_parser(name, help=help) if command in (None, name) else None
+
     def common(sp, depth=True):
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument(
-            "--format", choices=["json", "dot", "text"], default="json",
-            help="output rendering",
-        )
+        sp.add_argument("--format", choices=["json", "dot", "text"], default="json",
+                        help="output rendering")
         sp.add_argument("--node-budget", type=int, default=10**7)
         if depth:
             sp.add_argument("--depth", type=int, required=True, help="truncation depth")
 
-    sp = sub.add_parser("enum", help="tree of lifting residue classes")
-    sp.add_argument("system", help="polynomial system JSON")
-    sp.add_argument("--delta", type=int, default=None,
-                    help="certification window (default: depth)")
-    sp.add_argument("--cert-budget", type=int, default=4000,
-                    help="per-class certification search budget")
-    common(sp)
-
-    sp = sub.add_parser("naive", help="tree of residue-class solutions")
-    sp.add_argument("system")
-    common(sp)
-
-    sp = sub.add_parser("expand", help="expand a tree datum")
-    sp.add_argument("datum")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--param", default="",
-                    help="comma-separated parameter values")
-    common(sp)
-
-    sp = sub.add_parser("poincare", help="exact Poincare series")
-    sp.add_argument("--datum", help="tree datum JSON")
-    sp.add_argument("--tree", help="tree JSON (coefficient mode)")
-    sp.add_argument("--p", type=int, default=3,
-                    help="prime for datum mode (default 3)")
-    sp.add_argument("--coeffs", type=int, default=None,
-                    help="expand the series to this order")
-    common(sp, depth=False)
-
-    sp = sub.add_parser("iso", help="compare two trees up to isomorphism")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    common(sp, depth=False)
-
-    sp = sub.add_parser("realize", help="witness cloud of a datum")
-    sp.add_argument("datum")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--check", action="store_true",
-                    help="verify the cloud against the expansion")
-    common(sp)
-
-    sp = sub.add_parser("dot", help="render a tree as DOT")
-    sp.add_argument("tree")
-    sp.add_argument("--thick", action="store_true",
-                    help="heavy pen on edges from nodes with full p-fold branching")
-    sp.add_argument("--p", type=int, default=None,
-                    help="branching factor for --thick")
-    sp.add_argument("--labels", action="store_true")
-    common(sp, depth=False)
+    if sp := add("enum", "tree of lifting residue classes"):
+        sp.add_argument("system", help="polynomial system JSON")
+        sp.add_argument("--delta", type=int, default=None,
+                        help="certification window (default: depth)")
+        sp.add_argument("--cert-budget", type=int, default=4000,
+                        help="per-class certification search budget")
+        common(sp)
+    if sp := add("naive", "tree of residue-class solutions"):
+        sp.add_argument("system")
+        common(sp)
+    if sp := add("expand", "expand a tree datum"):
+        sp.add_argument("datum")
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--param", default="",
+                        help="comma-separated parameter values")
+        common(sp)
+    if sp := add("poincare", "exact Poincare series"):
+        sp.add_argument("--datum", help="tree datum JSON")
+        sp.add_argument("--tree", help="tree JSON (coefficient mode)")
+        sp.add_argument("--p", type=int, default=3,
+                        help="prime for datum mode (default 3)")
+        sp.add_argument("--coeffs", type=int, default=None,
+                        help="expand the series to this order")
+        common(sp, depth=False)
+    if sp := add("iso", "compare two trees up to isomorphism"):
+        sp.add_argument("a")
+        sp.add_argument("b")
+        common(sp, depth=False)
+    if sp := add("realize", "witness cloud of a datum"):
+        sp.add_argument("datum")
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--check", action="store_true",
+                        help="verify the cloud against the expansion")
+        common(sp)
+    if sp := add("dot", "render a tree as DOT"):
+        sp.add_argument("tree")
+        sp.add_argument("--thick", action="store_true",
+                        help="heavy pen on edges from nodes with full p-fold branching")
+        sp.add_argument("--p", type=int, default=None,
+                        help="branching factor for --thick")
+        sp.add_argument("--labels", action="store_true")
+        common(sp, depth=False)
     return ap
 
 
 def _emit(text: str, out):
+    end = "" if text.endswith("\n") else "\n"
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            print(text, end=end, file=fh)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        print(text, end=end)
 
 
 def _emit_tree(t: TruncTree, args) -> None:
@@ -188,28 +182,25 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _emit_coeffs(coeffs: list, args) -> int:
+    if args.format == "json":
+        _emit(json.dumps({"format": 1, "coeffs": coeffs}), args.out)
+    else:
+        _emit(" ".join(str(c) for c in coeffs), args.out)
+    return EXIT_OK
+
+
 def _cmd_poincare(args) -> int:
     if (args.datum is None) == (args.tree is None):
         raise _UsageError("exactly one of --datum and --tree is required")
     if args.tree is not None:
-        t = TruncTree.load(args.tree)
-        counts = t.layer_sizes()
+        counts = TruncTree.load(args.tree).layer_sizes()
         if args.coeffs is not None:
             counts = counts[: args.coeffs + 1]
-        if args.format == "json":
-            _emit(json.dumps({"format": 1, "coeffs": counts}), args.out)
-        else:
-            _emit(" ".join(str(c) for c in counts), args.out)
-        return EXIT_OK
-    D = TreeDatum.load(args.datum)
-    f = datum_poincare(D, args.p)
+        return _emit_coeffs(counts, args)
+    f = datum_poincare(TreeDatum.load(args.datum), args.p)
     if args.coeffs is not None:
-        coeffs = [str(c) for c in expand_series(f, args.coeffs)]
-        if args.format == "json":
-            _emit(json.dumps({"format": 1, "coeffs": coeffs}), args.out)
-        else:
-            _emit(" ".join(coeffs), args.out)
-        return EXIT_OK
+        return _emit_coeffs([str(c) for c in expand_series(f, args.coeffs)], args)
     if args.format == "json":
         _emit(json.dumps(f.to_json()), args.out)
     else:
@@ -280,8 +271,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # a command line that names its command needs that subparser only
+        command = argv[0] if argv and argv[0] in _DISPATCH else None
+        args = build_parser(command).parse_args(argv)
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

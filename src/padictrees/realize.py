@@ -47,6 +47,7 @@ from .padic import (
     vec,
     vvec,
 )
+from .polysys import _is_prime, _json_int
 from .trees import Ball, from_points, is_isomorphic
 
 __all__ = [
@@ -88,7 +89,7 @@ class RealizationContext:
 
 
 class _UPrep(NamedTuple):
-    """What _u_value decides from the valuation vector alone.
+    """What u_fn decides from the valuation vector alone.
 
     The value is known to precision prec.  With shell = (lam, i) it is
     p^lam x_i.  Otherwise it is p^lval times the e-th root of the unit
@@ -108,7 +109,7 @@ class _UPrep(NamedTuple):
 
 def _u_prep(ell: LinearFn, kappa, xprec: int, ctx: RealizationContext) -> _UPrep:
     """Prepare u_ell at samples of valuation vector kappa, each known to
-    precision xprec; raises every error _u_value can raise."""
+    precision xprec; raises every error u_fn can raise."""
     p, prec = ctx.p, ctx.prec
     lv = ell.value(kappa)
     if lv.denominator != 1:
@@ -153,18 +154,9 @@ def _u_eval(u: _UPrep, xs, ctx: RealizationContext) -> int:
     return p**u.lval * z.residue % p**u.prec
 
 
-def _u_value(ell: LinearFn, x: PadicVec | None, ctx: RealizationContext) -> PadicApprox:
-    """u_ell at the sample vector x (None for an unparametrized datum)."""
-    xs, kappa, xprec = (), (), ctx.prec
-    if x is not None:
-        xs, kappa, xprec = x.residues(), vvec(x), x.prec
-        if not all(map(is_finite, kappa)):
-            raise PrecisionExhausted("sample coordinate vanishes at working precision")
-    u = _u_prep(ell, kappa, xprec, ctx)
-    return PadicApprox(ctx.p, u.prec, _u_eval(u, xs, ctx))
-
-
-def u_fn(ell: LinearFn, x: PadicVec, ctx: RealizationContext | None = None) -> PadicApprox:
+def u_fn(
+    ell: LinearFn, x: PadicVec | None, ctx: RealizationContext | None = None
+) -> PadicApprox:
     """A value u with v(u) = ell(v-vector of x) exactly.
 
     ell = (beta + sum a_i k_i) / e; the value is the e-th root of
@@ -176,7 +168,13 @@ def u_fn(ell: LinearFn, x: PadicVec, ctx: RealizationContext | None = None) -> P
     """
     if ctx is None:
         ctx = RealizationContext(x.p, x.prec)
-    return _u_value(ell, x, ctx)
+    xs, kappa, xprec = (), (), ctx.prec
+    if x is not None:  # None for an unparametrized datum
+        xs, kappa, xprec = x.residues(), vvec(x), x.prec
+        if not all(map(is_finite, kappa)):
+            raise PrecisionExhausted("sample coordinate vanishes at working precision")
+    u = _u_prep(ell, kappa, xprec, ctx)
+    return PadicApprox(ctx.p, u.prec, _u_eval(u, xs, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +228,7 @@ class SkeletonFns:
             ctx = RealizationContext(x.p, x.prec)
         out = [from_int(ctx.p, ctx.prec, 0)] * self.width
         for slot, ell in self.ells[j]:
-            out[slot - 1] = out[slot - 1] + _u_value(ell, x, ctx)
+            out[slot - 1] = out[slot - 1] + u_fn(ell, x, ctx)
         return tuple(out)
 
 
@@ -281,13 +279,33 @@ class WitnessCloud:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "WitnessCloud":
-        p, prec = int(data["p"]), int(data["prec"])
-        pts = tuple(vec(p, prec, row) for row in data["points"])
-        return WitnessCloud(
-            p, prec, int(data["m"]), int(data["N"]), pts,
-            tuple(data["provenance"]),
+    def from_json(data) -> "WitnessCloud":
+        """The cloud of a JSON document; a malformed one is a DomainError
+        that names the field."""
+        if not isinstance(data, dict) or data.get("format") != 1:
+            raise DomainError("a witness cloud must be a JSON object with 'format' 1")
+        p, prec, m, N = (
+            _json_int(data.get(k), f"cloud field {k!r}") for k in ("p", "prec", "m", "N")
         )
+        if not _is_prime(p):
+            raise DomainError(f"cloud field 'p' must be prime, not {p}")
+        for k, v, low in (("prec", prec, 0), ("m", m, 0), ("N", N, 1)):
+            if v < low:
+                raise DomainError(f"cloud field {k!r} must be >= {low}, not {v}")
+        rows, tags = data.get("points"), data.get("provenance")
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != m + N for row in rows
+        ):
+            raise DomainError(f"cloud field 'points' must list rows of {m + N} coordinates")
+        if not isinstance(tags, list) or len(tags) != len(rows) or any(
+            not isinstance(tag, str) for tag in tags
+        ):
+            raise DomainError("cloud field 'provenance' must list one string per point")
+        pts = tuple(
+            vec(p, prec, [_json_int(a, "a coordinate in cloud field 'points'") for a in row])
+            for row in rows
+        )
+        return WitnessCloud(p, prec, m, N, pts, tuple(tags))
 
     @staticmethod
     def load(path: str) -> "WitnessCloud":
@@ -511,8 +529,8 @@ def realize(D: TreeDatum, depth_cap: int, ctx=None, p=None) -> WitnessCloud:
         raise LevelCap(f"level-{D.level} datum; realization stops at level 2")
     _check_leafless(D)
     if ctx is None:
-        if p is None:
-            raise DomainError("a prime or a context is required")
+        if p is None or not _is_prime(p):
+            raise DomainError(f"realize needs a prime or a context, not p = {p}")
         ctx = RealizationContext(p, depth_cap + 2 * _denom_val(D, p) + 6)
     issues = validate(D)
     if issues:

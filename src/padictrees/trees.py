@@ -227,39 +227,41 @@ def from_points(points: list[PadicVec], ball: Ball, depth_cap: int) -> TruncTree
     """Tree of a finite point set on a ball, truncated at relative depth cap.
 
     Nodes at relative depth d are the radius-(ball.radius + d) subballs
-    meeting the point set; labels are the absolute residue tuples.
+    meeting the point set, in the order the points first reach them; labels
+    are the absolute residue tuples. Every point must have the first point's
+    prime and carry at least ball.radius + depth_cap digits.
+
+    Built bottom-up, at the cost of one reduction per point and one per node
+    and depth: the points are reduced to the deepest layer, and each layer's
+    nodes are reduced to their parents, numbered in order of first
+    occurrence. The first point to reach a ball reaches its earliest child
+    first, so each layer keeps the order of the points.
     """
     if not points:
         return empty_tree(depth_cap)
-    p = points[0].p
-    r = ball.radius
-    if depth_cap > points[0].prec - r:
-        raise PrecisionExhausted("points carry too few digits for this depth cap")
-    cmod = p**r
-    cref = ball.reduced_center(p)
-    pts = []
-    for x in points:
-        res = x.residues()
-        if any((a - c) % cmod != 0 for a, c in zip(res, cref)):
-            raise DomainError("point outside the ball")
-        pts.append(res)
+    p, r = points[0].p, ball.radius
+    m = p ** (r + depth_cap)
+    for i, x in enumerate(points):
+        if x.p != p:
+            raise DomainError(f"point {i} has prime {x.p}, point 0 has {p}")
+        if x.prec < r + depth_cap:
+            raise PrecisionExhausted(
+                f"point {i} carries {x.prec} digits, depth cap {depth_cap} on a "
+                f"radius-{r} ball needs {r + depth_cap}"
+            )
+    layer = list(dict.fromkeys(tuple([a % m for a in x.res]) for x in points))
     parents: list[list[int]] = []
-    labels: list[list[Any]] = [[cref]]
-    prev_index = {cref: 0}
-    for d in range(1, depth_cap + 1):
-        m = p ** (r + d)
-        seen: dict[tuple, int] = {}
-        layer_par, layer_lab = [], []
-        for res in pts:
-            key = tuple(a % m for a in res)
-            if key not in seen:
-                seen[key] = len(layer_par)
-                layer_par.append(prev_index[tuple(a % (m // p) for a in res)])
-                layer_lab.append(key)
-        parents.append(layer_par)
-        labels.append(layer_lab)
-        prev_index = seen
-    return TruncTree(depth_cap, parents, labels=labels)
+    labels: list[list[Any]] = [layer]
+    for _ in range(depth_cap):
+        m //= p
+        index: dict[tuple, int] = {}
+        parents.append([index.setdefault(tuple([a % m for a in key]), len(index))
+                        for key in layer])
+        layer = list(index)
+        labels.append(layer)
+    if layer != [ball.reduced_center(p)]:
+        raise DomainError("point outside the ball")
+    return TruncTree(depth_cap, parents[::-1], labels=labels[::-1])
 
 
 def product(t1: TruncTree, t2: TruncTree) -> TruncTree:
@@ -269,14 +271,10 @@ def product(t1: TruncTree, t2: TruncTree) -> TruncTree:
     if t1.empty or t2.empty:
         return empty_tree(t1.depth_cap)
     sizes2 = t2.layer_sizes()
-    parents = []
-    for d in range(1, t1.depth_cap + 1):
-        w_prev = sizes2[d - 1]
-        layer = []
-        for a in t1.parents[d - 1]:
-            for b in t2.parents[d - 1]:
-                layer.append(a * w_prev + b)
-        parents.append(layer)
+    parents = [
+        [a * sizes2[d] + b for a in t1.parents[d] for b in t2.parents[d]]
+        for d in range(t1.depth_cap)
+    ]
     return TruncTree(t1.depth_cap, parents)
 
 
@@ -367,15 +365,7 @@ def cheese_restrict(t: TruncTree, cheese: Cheese) -> TruncTree:
         d = h.radius - r0
         if not 0 <= d <= t.depth_cap:
             raise DomainError("hole outside the truncated tree")
-        want = h.reduced_center(p)
-        idx = None
-        for i, lab in enumerate(t.labels[d]):
-            if tuple(lab) == want:
-                idx = i
-                break
-        if idx is None:
-            raise DomainError(f"hole {h} is not a node of the tree")
-        hole_nodes.add((d, idx))
+        hole_nodes.add(find_node_by_label(t, d, h.reduced_center(p)))
     # hole nodes stay, their strict descendants go
     return restrict(t, lambda d, i: (d - 1, t.parents[d - 1][i]) not in hole_nodes)
 
@@ -397,12 +387,8 @@ def _ahu_ids(trees: list[TruncTree], with_labels: bool) -> list[int]:
     depth mean exactly isomorphic subtrees (no hashing involved).
     """
     cap = trees[0].depth_cap
-    per_tree_ids = []
     # process bottom-up with one shared intern table per depth
-    layer_ids = []
-    for t in trees:
-        n = t.layer_sizes()[cap]
-        layer_ids.append([0] * n)
+    layer_ids = [[0] * t.layer_sizes()[cap] for t in trees]
     for d in range(cap, -1, -1):
         intern: dict[tuple, int] = {}
         new_ids = []
@@ -420,9 +406,7 @@ def _ahu_ids(trees: list[TruncTree], with_labels: bool) -> list[int]:
                 ids.append(intern.setdefault(key, len(intern)))
             new_ids.append(ids)
         layer_ids = new_ids
-    for ti, t in enumerate(trees):
-        per_tree_ids.append(layer_ids[ti][0] if not t.empty else -1)
-    return per_tree_ids
+    return [-1 if t.empty else ids[0] for t, ids in zip(trees, layer_ids)]
 
 
 def _hashable(l):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from padictrees.cli import main
+from padictrees.cli import _DISPATCH, _UsageError, build_parser, main
 from padictrees.datum import cusp_datum, point_datum, y_datum
 from padictrees.polysys import cusp_system, make_system
 from padictrees.realize import WitnessCloud, verify_realization
@@ -235,3 +235,38 @@ def test_enum_sidecar_rows_keep_the_class_depth(files, capsys, tmp_path):
         if row["kind"] == "newton":
             assert {"cols", "margin", "lift_depth"} <= set(cert)
     assert {"witness", "hensel"} <= {row["kind"] for row in rows if row["status"] == "yes"}
+
+
+def _full_parser_says(capsys, argv):
+    """Exit code, stdout and stderr of the full parser on a line it rejects
+    or answers with help."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().out, ""
+    except _UsageError as exc:
+        return 2, "", f"usage error: {exc}\n"
+    raise AssertionError(f"{argv} parses")
+
+
+def test_one_subparser_answers_as_the_full_parser(capsys):
+    # main builds only the named command's subparser; help, usage errors
+    # and exit codes must not change
+    lines = [["--help"], [], ["frobnicate", "x"], ["--depth", "3", "enum"]]
+    lines += [[cmd, "--help"] for cmd in _DISPATCH]
+    lines += [[cmd] for cmd in _DISPATCH if cmd != "poincare"]
+    lines += [
+        ["realize", "d.json", "--p", "3"],
+        ["enum", "s.json", "--depth", "x"],
+        ["iso", "a.json", "b.json", "--bogus"],
+        ["dot", "t.json", "--format", "png"],
+    ]
+    for argv in lines:
+        want = _full_parser_says(capsys, argv)
+        try:
+            got = main(argv), *capsys.readouterr()
+        except SystemExit as exc:
+            got = exc.code, *capsys.readouterr()
+        assert got == want, argv
+    with pytest.raises(_UsageError, match="invalid choice: 'enum'"):
+        build_parser("iso").parse_args(["enum", "s.json", "--depth", "2"])

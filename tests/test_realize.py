@@ -196,6 +196,14 @@ def test_realize_golden_clouds():
     assert got == GOLDEN_CLOUDS
 
 
+def test_realize_rejects_a_non_prime():
+    # p = 1 would loop forever in the valuation of the bone denominators,
+    # and a cloud over p = 4 could not be loaded again
+    for p in (1, 4):
+        with pytest.raises(DomainError, match=f"not p = {p}"):
+            realize(y_datum(1, m=0), 3, p=p)
+
+
 def test_realize_rejects_parametrized():
     with pytest.raises(NotRealizable):
         realize(y_datum(linear([1]), m=1), 4, p=3)
@@ -243,6 +251,34 @@ def test_cloud_json_round_trip(tmp_path):
     assert back == cloud
     report = verify_realization(back, y_datum(2, m=0), 3, 5)
     assert report.ok
+
+
+def test_valid_clouds_round_trip_byte_identically():
+    for D, p, depth in ((cusp_datum(3), 3, 5), (y_datum(2, m=0), 5, 4), (zpn_datum(2, 3), 3, 3)):
+        text = json.dumps(realize(D, depth, p=p).to_json())
+        assert json.dumps(WitnessCloud.from_json(json.loads(text)).to_json()) == text
+
+
+def test_malformed_cloud_json_names_the_field():
+    good = realize(y_datum(1, m=0), 3, p=3).to_json()
+    row = good["points"][0]
+    for bad, field in (
+        ([1, 2], "JSON object"),
+        ({**good, "format": 7}, "format"),
+        ({**good, "p": 4}, "'p'"),
+        ({**good, "p": "x"}, "'p'"),
+        ({**good, "prec": -1}, "'prec'"),
+        ({**good, "N": 0}, "'N'"),
+        ({k: v for k, v in good.items() if k != "m"}, "'m'"),
+        ({**good, "points": 5}, "'points'"),
+        ({**good, "points": [row + ["0"]] + good["points"][1:]}, "'points'"),
+        ({**good, "points": [["x"] + row[1:]] + good["points"][1:]}, "'points'"),
+        ({**good, "provenance": good["provenance"][1:]}, "'provenance'"),
+        ({**good, "provenance": 3}, "'provenance'"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            WitnessCloud.from_json(bad)
+        assert field in str(exc.value) and "\n" not in str(exc.value), bad
 
 
 def test_cloud_points_have_declared_shape():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padictrees.errors import (
     DepthMismatch,
@@ -143,6 +145,56 @@ def test_from_points_labels_and_errors():
         from_points(pts, Ball((1, 2), 0), 7)
     with pytest.raises(DomainError):
         from_points([vec(3, 6, [0, 0])], Ball((1, 0), 1), 2)
+
+
+def test_from_points_rejects_short_and_mixed_points():
+    # the second point knows 2 of the 5 digits depth 5 needs; its missing
+    # digits must not be read as zeros
+    with pytest.raises(PrecisionExhausted, match="point 1 carries 2 digits"):
+        from_points([vec(3, 6, [1]), vec(3, 2, [1])], Ball((0,), 0), 5)
+    with pytest.raises(DomainError, match="point 2 has prime 5"):
+        from_points([vec(3, 6, [1]), vec(3, 6, [2]), vec(5, 6, [1])], Ball((0,), 0), 5)
+
+
+def _reference_layers(pts, ball, p, cap):
+    """Brute force: at each depth, the residues in order of first point,
+    and each one's parent index one layer up."""
+    layers, parents = [], []
+    for d in range(cap + 1):
+        m = p ** (ball.radius + d)
+        keys = list(dict.fromkeys(tuple(a % m for a in x.res) for x in pts))
+        layers.append(keys)
+        if d:
+            up = layers[d - 1]
+            parents.append([up.index(tuple(a % (m // p) for a in k)) for k in keys])
+    return layers, parents
+
+
+@st.composite
+def _point_sets(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    radius, cap = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    prec = radius + cap + draw(st.integers(0, 1))
+    center = tuple(draw(st.lists(st.integers(0, p**radius - 1), min_size=n, max_size=n)))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, p ** (prec - radius) - 1), min_size=n, max_size=n),
+        min_size=1, max_size=12,
+    ))
+    pts = [vec(p, prec, [c + p**radius * a for c, a in zip(center, row)]) for row in rows]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))  # repeated points
+    order = draw(st.permutations(range(len(pts))))
+    return [pts[i] for i in order], Ball(center, radius), p, cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_sets())
+def test_from_points_matches_reduction_at_every_depth(case):
+    pts, ball, p, cap = case
+    t = from_points(pts, ball, cap)
+    layers, parents = _reference_layers(pts, ball, p, cap)
+    assert t.labels == layers
+    assert t.parents == parents
 
 
 def test_from_points_respects_ball_offset():
