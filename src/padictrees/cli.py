@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 
 from .datum import TreeDatum, expand
 from .enum_trees import No, Unknown, Yes, lifted_tree, naive_tree
-from .errors import PadicTreesError
+from .errors import DomainError, PadicTreesError
 from .poincare import datum_poincare
-from .polysys import PolySystem
+from .polysys import PolySystem, _is_prime
 from .ratfun import expand_series
 from .realize import realize, verify_realization
 from .trees import TruncTree, is_isomorphic, to_dot
@@ -117,8 +118,13 @@ def _emit_tree(t: TruncTree, args) -> None:
         _emit(" ".join(str(n) for n in t.layer_sizes()), args.out)
 
 
-def _certificate_json(st: Yes) -> dict:
-    """The certificate of a Yes, under the class it was made for."""
+def _status_tail(st, certs: list) -> str:
+    """A status's sidecar row after its "status" key.  A yes appends its
+    certificate, under the class it was made for, to certs and points at it."""
+    if isinstance(st, No):
+        return f'"no", "exhausted_at": {st.exhausted_at}}}'
+    if not isinstance(st, Yes):
+        return f'"unknown", "budget": {st.budget}}}'
     cert = {"kind": st.kind, "depth": st.depth, "label": list(st.label)}
     if st.kind == "witness":
         cert["point"] = [str(q) for q in st.certificate]
@@ -127,7 +133,8 @@ def _certificate_json(st: Yes) -> dict:
         if st.kind == "newton":
             cert["margin"] = st.certificate.margin
             cert["lift_depth"] = st.certificate.depth
-    return cert
+    certs.append(cert)
+    return f'"yes", "kind": "{st.kind}", "certificate": {len(certs) - 1}}}'
 
 
 def _cmd_enum(args) -> int:
@@ -139,22 +146,23 @@ def _cmd_enum(args) -> int:
     )
     _emit_tree(t, args)
     if args.out:
-        # one row per listed class, written as JSON text and joined as
-        # json.dumps would; a class below a No is No too and its row is
-        # implied; a yes row points into the list of distinct certificates
-        rows, certs, index = [], [], {}
-        for (d, lab), st in sorted(statuses.listed.items()):
-            head = f'{{"depth": {d}, "label": [{", ".join(map(str, lab))}], "status": '
-            if isinstance(st, Yes):
-                # one entry per certificate object, which many classes share
-                if id(st) not in index:
-                    index[id(st)] = len(certs)
-                    certs.append(_certificate_json(st))
-                rows.append(f'{head}"yes", "kind": "{st.kind}", "certificate": {index[id(st)]}}}')
-            elif isinstance(st, No):
-                rows.append(f'{head}"no", "exhausted_at": {st.exhausted_at}}}')
-            else:
-                rows.append(f'{head}"unknown", "budget": {st.budget}}}')
+        # one row per listed class, layer by layer and sorted by label within
+        # a layer, written as JSON text and joined as json.dumps would; a
+        # class below a No is No too and its row is implied.  The row tail
+        # is formatted once per status object, which many classes share; a
+        # yes row points into the list of distinct certificates
+        layers = [[] for _ in range(args.depth + 1)]
+        for (d, lab), st in statuses.listed.items():
+            layers[d].append((lab, st))
+        rows, certs, tails = [], [], {}
+        for d, layer in enumerate(layers):
+            layer.sort(key=itemgetter(0))
+            head = f'{{"depth": {d}, "label": ['
+            for lab, st in layer:
+                tail = tails.get(id(st))
+                if tail is None:
+                    tail = tails[id(st)] = _status_tail(st, certs)
+                rows.append(f'{head}{", ".join(map(str, lab))}], "status": {tail}')
         sidecar = (
             f'{{"format": 1, "certificates": {json.dumps(certs)}, '
             f'"statuses": [{", ".join(rows)}]}}'
@@ -174,7 +182,13 @@ def _cmd_naive(args) -> int:
     return EXIT_OK
 
 
+def _require_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise DomainError(f"--p must be a prime, not {p}")
+
+
 def _cmd_expand(args) -> int:
+    _require_prime(args.p)
     D = TreeDatum.load(args.datum)
     kappa = tuple(int(s) for s in args.param.split(",") if s.strip() != "")
     t = expand(D, kappa, args.p, args.depth, args.node_budget)
@@ -198,6 +212,7 @@ def _cmd_poincare(args) -> int:
         if args.coeffs is not None:
             counts = counts[: args.coeffs + 1]
         return _emit_coeffs(counts, args)
+    _require_prime(args.p)
     f = datum_poincare(TreeDatum.load(args.datum), args.p)
     if args.coeffs is not None:
         return _emit_coeffs([str(c) for c in expand_series(f, args.coeffs)], args)

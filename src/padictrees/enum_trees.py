@@ -9,6 +9,14 @@ descendant, or a unit Jacobian minor (Hensel).  No needs the congruence
 solutions below the class to die out at a finite depth, Unknown carries
 the exhausted budget.
 
+One kernel, _Children, lists the children of a naive class for
+naive_tree, for the searches of lifted_tree and for the status map.  At
+depth >= 1 the congruence for a child is linear in its digits, with the
+Jacobian mod p as its matrix, and that matrix depends only on the class's
+residue mod p (the linearisation behind weak smoothness).  So the solutions
+are read from one table per distinct Jacobian mod p, indexed by
+f(label) / p^depth mod p, instead of being searched for each class.
+
 lifted_tree walks the naive tree top-down, one layer at a time, through
 naive_tree's expand callback:
 
@@ -35,6 +43,7 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from operator import add
 
 from .errors import DomainError, NodeBudgetExceeded
 from .padic import Certified, newton_certify, pval, vec
@@ -112,26 +121,20 @@ class Garland:
         return [start + i * self.rho for i in range(count)]
 
 
-def _mod_p(polys, p: int) -> list:
-    """The polynomials mod p for _digit_roots: nonzero terms (c, mono), with
-    mono the (coordinate, power) pairs of the exponent vector."""
-    rows = []
+def _digit_roots(polys, p: int, n: int) -> list:
+    """The digit vectors d in {0..p-1}^n, in sorted order, at which every
+    polynomial vanishes mod p."""
+    rows = []  # nonzero terms mod p: (c, (coordinate, power) pairs)
     for poly in polys:
         terms = [
             (c % p, tuple((j, e) for j, e in enumerate(ee) if e))
             for c, ee in poly
             if c % p
         ]
+        if len(terms) == 1 and not terms[0][1]:
+            return []  # a unit constant
         if terms:
             rows.append(terms)
-    return rows
-
-
-def _digit_roots(rows, p: int, n: int) -> list:
-    """The digit vectors d in {0..p-1}^n, in sorted order, at which every
-    row of _mod_p vanishes mod p."""
-    if any(len(terms) == 1 and not terms[0][1] for terms in rows):
-        return []  # a unit constant
     digits = iproduct(range(p), repeat=n)
     if not rows:
         return list(digits)
@@ -150,29 +153,57 @@ def _digit_roots(rows, p: int, n: int) -> list:
     return out
 
 
-def _children(sys: PolySystem, label, depth):
-    """Residue extensions of a depth-`depth` class to depth+1, in sorted
-    digit order.  For depth >= 1 the test is linear in the digits:
-    f(a + p^l d) = f(a) + p^l d.grad f(a) mod p^{2l}, and 2l >= l+1."""
-    p, n = sys.p, sys.n
-    pl = p**depth
-    if depth == 0:
-        rows = _mod_p(sys.polys, p)
-    else:
-        rows = []
-        for i in range(len(sys.polys)):
-            terms = [(sys.partial(i, j, label) % p, ((j, 1),)) for j in range(n)]
-            terms.append((sys.eval_poly(i, label) // pl % p, ()))
-            terms = [t for t in terms if t[0]]
-            if terms:
-                rows.append(terms)
-    return [
-        tuple([a + dj * pl for a, dj in zip(label, d)]) for d in _digit_roots(rows, p, n)
-    ]
+class _Children:
+    """The children kernel of one tree computation: called with a naive
+    class (label, depth), it lists the class's residue extensions to depth+1,
+    in sorted digit order, as absolute labels.
+
+    At depth 0 they are the roots mod p of the polynomials.  At depth l >= 1
+    the test is linear in the digit vector d, since
+    f(a + p^l d) = f(a) + p^l J(a) d mod p^2l and 2l >= l+1: the child
+    a + p^l d exists iff c + J(a) d = 0 mod p, with c = f(a) / p^l mod p.
+    J(a) mod p depends on a mod p only.  So one table per distinct Jacobian
+    mod p (and depth, as it stores the label offsets p^l d) maps each
+    c in (Z/p)^k to its sorted digit vectors; it is built on first use and
+    looked up through the class's residue mod p.  A class then costs k
+    evaluations of f and one lookup.
+    """
+
+    def __init__(self, sys: PolySystem):
+        self.sys = sys
+        self.tables: dict = {}  # (residue mod p, depth) -> table
+        self.shared: dict = {}  # (Jacobian mod p, depth) -> table
+
+    def _table(self, res, depth):
+        sys, p = self.sys, self.sys.p
+        jac = tuple(
+            tuple(sys.partial(i, j, res) % p for j in range(sys.n))
+            for i in range(len(sys.polys))
+        )
+        table = self.shared.get((jac, depth))
+        if table is None:
+            table = self.shared[jac, depth] = {}
+            for d in iproduct(range(p), repeat=sys.n):
+                c = tuple(-sum(a * x for a, x in zip(row, d)) % p for row in jac)
+                table.setdefault(c, []).append(tuple(x * p**depth for x in d))
+        return table
+
+    def __call__(self, label, depth):
+        sys, p = self.sys, self.sys.p
+        if depth == 0:
+            return _digit_roots(sys.polys, p, sys.n)
+        key = (tuple([x % p for x in label]), depth)
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = self._table(*key)
+        pl = p**depth
+        c = tuple([sys.eval_poly(i, label) // pl % p for i in range(len(sys.polys))])
+        return [tuple(map(add, label, off)) for off in table.get(c, ())]
 
 
 def naive_tree(
-    sys: PolySystem, depth_cap: int, node_budget: int = 10**7, *, expand=None
+    sys: PolySystem, depth_cap: int, node_budget: int = 10**7, *, expand=None,
+    children=None,
 ) -> TruncTree:
     """Layered BFS of all residue solutions f = 0 mod p^depth, with the
     absolute residue tuples as labels.
@@ -180,10 +211,13 @@ def naive_tree(
     expand(depth, labels, parents), called after each layer is built (with
     no parents at the root), returns one flag per class of the layer: list
     its children or not.  The default lists every class.  The node budget
-    counts the listed classes.
+    counts the listed classes.  `children` is the _Children kernel to share
+    with the caller (default: a fresh one).
     """
     if depth_cap < 0:
         raise DomainError("negative depth cap")
+    if children is None:
+        children = _Children(sys)
     layer = [(0,) * sys.n]
     labels = [layer]
     parents = []
@@ -194,7 +228,7 @@ def naive_tree(
         for idx, lab in enumerate(layer):
             if keep is not None and not keep[idx]:
                 continue
-            for child in _children(sys, lab, depth):
+            for child in children(lab, depth):
                 nxt_par.append(idx)
                 nxt_lab.append(child)
         used += len(nxt_par)
@@ -256,7 +290,7 @@ def _alive(state, p: int, n: int, memo: dict, budget: list) -> bool:
     if budget[0] < 0:
         raise NodeBudgetExceeded("extension search exceeded the node budget")
     result = False
-    for d in _digit_roots(_mod_p([poly for poly, _K in state], p), p, n):
+    for d in _digit_roots([poly for poly, _K in state], p, n):
         child = _norm_state(
             [(shift_scale(poly, d, p, p**K), K) for poly, K in state], p
         )
@@ -277,6 +311,7 @@ class _Lifter:
 
     def __init__(self, sys, depth_cap, delta, node_budget, search_budget):
         self.sys = sys
+        self.children = _Children(sys)
         self.p = sys.p
         self.cap = depth_cap
         self.delta = delta
@@ -306,20 +341,12 @@ class _Lifter:
         zero = (0,) * self.sys.n
         return tuple(shift_scale(f, zero, 1, self.mod) for f in self.sys.polys)
 
-    def shift(self, g, digit):
-        """The carried system of the child with digit vector `digit`."""
-        return tuple(shift_scale(f, digit, self.p, self.mod) for f in g)
-
-    def _kids(self, g, label, depth):
-        """(digit, label) of the naive children, read off the carried
-        system: every coefficient of g is divisible by p^depth, and mod p
-        only the constant and linear terms of g / p^depth survive."""
+    def shift(self, g, kid, label, depth):
+        """The carried system of the child `kid` of the class (depth, label)
+        whose carried system is g."""
         pl = self.p**depth
-        rows = _mod_p([[(c // pl, e) for c, e in f] for f in g], self.p)
-        return [
-            (d, tuple(a + dj * pl for a, dj in zip(label, d)))
-            for d in _digit_roots(rows, self.p, self.sys.n)
-        ]
+        digit = tuple([(a - b) // pl for a, b in zip(kid, label)])
+        return tuple(shift_scale(f, digit, self.p, self.mod) for f in g)
 
     def _alive_at(self, g, label, depth, target) -> bool:
         if depth >= target:
@@ -387,67 +414,61 @@ class _Lifter:
         return st
 
     def resolve(self, label, depth, g, budget) -> object:
-        """Status of the class, searched through its carried system g."""
+        """Status of the class, searched through its carried system g;
+        memoised unless the search budget cut it."""
         key = (depth, label)
-        if key in self.status:
-            return self.status[key]
+        st = self.status.get(key)
+        if st is None:
+            st, final = self._search(label, depth, g, budget)
+            if final:
+                self.status[key] = st
+        return st
+
+    def _search(self, label, depth, g, budget):
         budget[0] -= 1
         if budget[0] < 0:
-            return Unknown(self.search_budget)  # not memoised: budget-local
+            return Unknown(self.search_budget), False
         st = self._quick_yes(label, depth)
         if st is not None:
-            self.status[key] = st
-            return st
+            return st, True
         kids = None
         if depth < self.target:
-            kids = self._kids(g, label, depth)
+            kids = self.children(label, depth)
             if not kids:
-                out = No(depth + 1)
-                self.status[key] = out
-                return out
+                return No(depth + 1), True
         for target in (self.target, self.deep_target):
             if not self._alive_at(g, label, depth, target):
-                out = No(self._death_depth(g, label, depth, target))
-                self.status[key] = out
-                return out
+                return No(self._death_depth(g, label, depth, target)), True
         if depth >= self.target:
-            out = Unknown(self.delta)
-            self.status[key] = out
-            return out
-        for _, kid in kids:
+            return Unknown(self.delta), True
+        for kid in kids:
             st = self.status.get((depth + 1, kid))
             if st is None:
                 st = self._quick_yes(kid, depth + 1)
                 if st is not None:
                     self.status[(depth + 1, kid)] = st
             if isinstance(st, Yes):
-                self.status[key] = st
-                return st
+                return st, True
         tainted = False
         all_no = True
         dead = depth
-        for digit, kid in kids:
+        for kid in kids:
             st = self.status.get((depth + 1, kid))
             if st is None:
-                st = self.resolve(kid, depth + 1, self.shift(g, digit), budget)
+                st = self.resolve(kid, depth + 1, self.shift(g, kid, label, depth), budget)
             if isinstance(st, Yes):
-                self.status[key] = st
-                return st
+                return st, True
             if isinstance(st, No):
                 dead = max(dead, st.exhausted_at)
             else:
                 all_no = False
                 if budget[0] < 0:
                     tainted = True
-        if all_no and kids:
-            out = No(dead)
-            self.status[key] = out
-            return out
+        if all_no:
+            return No(dead), True
         if tainted:
-            return Unknown(self.search_budget)
-        out = Unknown(self.delta)
-        self.status[key] = out
-        return out
+            return Unknown(self.search_budget), False
+        return Unknown(self.delta), True
 
     def walk(self, depth, labels, parents):
         """naive_tree's expand callback: the statuses of a listed layer,
@@ -457,7 +478,6 @@ class _Lifter:
             layer = [self.resolve(labels[0], 0, g, [self.search_budget])]
             nxt = [g]
         else:
-            pl = self.p ** (depth - 1)
             above, up = self.statuses[-1], self.labels[-1]
             layer, nxt = [], []
             for lab, par in zip(labels, parents):
@@ -473,7 +493,7 @@ class _Lifter:
                 else:
                     st = self.status.get((depth, lab))
                     if not isinstance(st, No):
-                        g = self.shift(g, tuple((a - b) // pl for a, b in zip(lab, up[par])))
+                        g = self.shift(g, lab, up[par], depth - 1)
                     if st is None:
                         st = self.resolve(lab, depth, g, [self.search_budget])
                 layer.append(st)
@@ -504,13 +524,14 @@ class _Statuses(Mapping):
     Only the listed classes are stored: the root and the children of the
     classes that are not No.  A naive class below a No answers with that
     No, found by walking its label up; iteration and len list these
-    implied classes too, with _children below each listed No.
+    implied classes too, with the children kernel below each listed No.
     """
 
-    def __init__(self, sys: PolySystem, depth_cap: int, listed: dict):
+    def __init__(self, sys: PolySystem, depth_cap: int, listed: dict, children):
         self.sys = sys
         self.depth_cap = depth_cap
         self.listed = listed
+        self.children = children
         self._len = None
 
     def _is_naive(self, key) -> bool:
@@ -553,7 +574,7 @@ class _Statuses(Mapping):
                 dd, above = stack.pop()
                 if dd == self.depth_cap:
                     continue
-                for kid in _children(self.sys, above, dd):
+                for kid in self.children(above, dd):
                     yield (dd + 1, kid), st
                     stack.append((dd + 1, kid))
 
@@ -614,13 +635,15 @@ def lifted_tree(
     if delta < 0:
         raise DomainError("negative certification budget")
     lifter = _Lifter(sys, depth_cap, delta, node_budget, search_budget)
-    listed = naive_tree(sys, depth_cap, node_budget, expand=lifter.walk)
+    listed = naive_tree(
+        sys, depth_cap, node_budget, expand=lifter.walk, children=lifter.children
+    )
     status = lifter.statuses
     statuses = _Statuses(sys, depth_cap, {
         (d, lab): st
         for d in range(depth_cap + 1)
         for lab, st in zip(listed.labels[d], status[d])
-    })
+    }, lifter.children)
     if not isinstance(status[0][0], Yes):
         return empty_tree(depth_cap), statuses
     return restrict(listed, lambda d, i: isinstance(status[d][i], Yes)), statuses

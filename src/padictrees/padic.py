@@ -15,6 +15,8 @@ from .errors import DomainError, PrecisionExhausted
 
 def pval(p: int, a: int) -> int | None:
     """p-adic valuation of a nonzero integer; None for a == 0 (infinity)."""
+    if p < 2:
+        raise DomainError(f"valuation needs a prime, not p = {p}")
     if a == 0:
         return None
     v = 0

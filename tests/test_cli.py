@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 
 import pytest
 
 from padictrees.cli import _DISPATCH, _UsageError, build_parser, main
 from padictrees.datum import cusp_datum, point_datum, y_datum
+from padictrees.enum_trees import No, Yes, lifted_tree
 from padictrees.polysys import cusp_system, make_system
 from padictrees.realize import WitnessCloud, verify_realization
 from padictrees.trees import TruncTree, full_tree, is_isomorphic, y_tree
@@ -270,3 +272,75 @@ def test_one_subparser_answers_as_the_full_parser(capsys):
         assert got == want, argv
     with pytest.raises(_UsageError, match="invalid choice: 'enum'"):
         build_parser("iso").parse_args(["enum", "s.json", "--depth", "2"])
+
+
+def _reference_sidecar(statuses) -> bytes:
+    """The status sidecar written with json.dumps on one dict per row, the
+    listed classes sorted by (depth, label), certificates numbered in
+    first-seen row order."""
+    certs, index, rows = [], {}, []
+    for (d, lab), st in sorted(statuses.listed.items(), key=lambda kv: kv[0]):
+        row = {"depth": d, "label": list(lab)}
+        if isinstance(st, Yes):
+            if id(st) not in index:
+                index[id(st)] = len(certs)
+                cert = {"kind": st.kind, "depth": st.depth, "label": list(st.label)}
+                if st.kind == "witness":
+                    cert["point"] = [str(q) for q in st.certificate]
+                if st.kind in ("newton", "hensel"):
+                    cert["cols"] = list(st.certificate.cols)
+                if st.kind == "newton":
+                    cert["margin"] = st.certificate.margin
+                    cert["lift_depth"] = st.certificate.depth
+                certs.append(cert)
+            row.update(status="yes", kind=st.kind, certificate=index[id(st)])
+        elif isinstance(st, No):
+            row.update(status="no", exhausted_at=st.exhausted_at)
+        else:
+            row.update(status="unknown", budget=st.budget)
+        rows.append(row)
+    doc = {"format": 1, "certificates": certs, "statuses": rows}
+    return (json.dumps(doc) + "\n").encode()
+
+
+@pytest.mark.parametrize("system, depth, budget, kinds", [
+    (cusp_system(3), 5, 4000, {"witness", "newton", "exact", "hensel", "no"}),
+    (make_system(3, 1, [[(1, (2,))]]), 16, 4000, {"exact", "no"}),  # double-root-p3
+    (make_system(3, 3, [[(1, (3, 0, 0)), (1, (0, 3, 0)), (3, (0, 0, 3))]]), 3, 1,
+     {"newton", "exact", "no", "unknown"}),
+])
+def test_enum_sidecar_matches_a_json_dumps_writer(tmp_path, capsys, system, depth, budget, kinds):
+    src = tmp_path / "sys.json"
+    src.write_text(json.dumps(system.to_json()))
+    out = str(tmp_path / "tree.json")
+    code = main(["enum", str(src), "--depth", str(depth), "--out", out,
+                 "--cert-budget", str(budget)])
+    assert code == (3 if "unknown" in kinds else 0)
+    capsys.readouterr()
+    _, statuses = lifted_tree(system, depth, depth, search_budget=budget)
+    got = open(out + ".status.json", "rb").read()
+    assert got == _reference_sidecar(statuses)
+    rows = json.loads(got)["statuses"]
+    assert {row.get("kind", row["status"]) for row in rows} == kinds
+
+
+# md5 of the outputs on the cusp x^3 = y^2 with its witness at p = 3, depth
+# 5, as written before the children kernel and the layer-wise sidecar writer
+# were introduced; a speed-up must not change a byte of them
+_GOLDEN = {
+    "enum": "4245ed4b40d109b110dd618b8c7d6b8d",
+    "enum.status": "760c528ff2cca8090b8b75270da0bf10",
+    "naive": "4e4dcf99e57ab253210b728605aa6657",
+}
+
+
+def test_cusp_outputs_match_their_golden_digests(tmp_path, capsys):
+    src = tmp_path / "cusp.json"
+    src.write_text(json.dumps(cusp_system(3).to_json()))
+    got = {}
+    for cmd in ("enum", "naive"):
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, str(src), "--depth", "5", "--out", str(out)]) == 0
+        got[cmd] = hashlib.md5(out.read_bytes()).hexdigest()
+    got["enum.status"] = hashlib.md5((tmp_path / "enum.json.status.json").read_bytes()).hexdigest()
+    assert got == _GOLDEN

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from padictrees.cli import main
-from padictrees.datum import zpn_datum
+from padictrees.datum import y_datum, zpn_datum
 from padictrees.errors import DomainError
+from padictrees.padic import pval
 from padictrees.polysys import PRIME_LIMIT, PolySystem, _is_prime, make_system
 from padictrees.trees import TruncTree, full_tree, is_isomorphic, path_tree, y_tree
 
@@ -186,3 +187,30 @@ def test_malformed_datum_json_is_an_input_error(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, err
             assert field in err and "Traceback" not in err
+
+
+def test_non_prime_p_rejected_by_expand_and_poincare(tmp_path, capsys):
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(y_datum(1, m=0).to_json()))
+    for p in ("4", "1", "0", "-3"):
+        for argv in (
+            ["expand", str(path), "--p", p, "--depth", "3"],
+            ["poincare", "--datum", str(path), "--p", p, "--coeffs", "3"],
+            ["poincare", "--datum", str(path), "--p", p],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --p must be a prime, not {p}\n"
+    # a prime still works
+    assert main(["expand", str(path), "--p", "5", "--depth", "3", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "1 1 2 2\n"
+
+
+def test_pval_needs_a_prime():
+    for p in (1, 0, -2):
+        with pytest.raises(DomainError, match=f"p = {p}"):
+            pval(p, 5)
+        with pytest.raises(DomainError):
+            pval(p, 0)
+    assert pval(5, 250) == 3 and pval(2, 0) is None
