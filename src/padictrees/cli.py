@@ -207,6 +207,8 @@ def _emit_coeffs(coeffs: list, args) -> int:
 def _cmd_poincare(args) -> int:
     if (args.datum is None) == (args.tree is None):
         raise _UsageError("exactly one of --datum and --tree is required")
+    if args.coeffs is not None and args.coeffs < 0:
+        raise DomainError(f"--coeffs must be >= 0, not {args.coeffs}")
     if args.tree is not None:
         counts = TruncTree.load(args.tree).layer_sizes()
         if args.coeffs is not None:

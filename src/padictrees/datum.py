@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from math import ceil, floor
+from math import ceil, floor, lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -612,8 +612,7 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
 
 
 # validate probes the domain in the box [0, _SPAN]^m (4 * _SPAN when that
-# box misses it), keeps the first _LIMIT points, and checks piece coverage
-# of each bone up to _SPAN depths below its parent joint
+# box misses it) and keeps the first _LIMIT points
 _SPAN = 8
 _LIMIT = 40
 
@@ -649,8 +648,8 @@ def validate(D: TreeDatum, require_normal=False, _memo=None) -> list[str]:
 
     This is the one place the bone-piece rule is decided: at each sampled
     parameter point, every piece of a bone lies strictly between the depths
-    of its two joints (exactly in lambda), and the pieces cover the bone's
-    first depths without overlap.  Each distinct side datum is checked once
+    of its two joints, and the pieces cover the bone's depths without
+    overlap, both exactly in lambda.  Each distinct side datum is checked once
     per call; a side datum carried by k leaves still contributes its
     messages k times, in leaf order.
     """
@@ -714,7 +713,12 @@ def validate(D: TreeDatum, require_normal=False, _memo=None) -> list[str]:
                     continue
                 overrun.add(i)
                 report.append(f"bone {j}: a piece reaches depth {reach} at {kappa}")
-            end = lo + _SPAN + 1 if hi is INFINITY else min(hi, lo + _SPAN + 1)
+            # past each infinite piece's least and each finite one's top the
+            # pieces repeat with the lcm of their moduli: one period decides
+            end = max([lo + 1, *(s if t is INFINITY else t + 1 for s, t, _ in ranges)])
+            end += lcm(*(rho for _, _, rho in ranges))
+            if hi is not INFINITY:
+                end = min(end, hi)
             for lam in range(lo + 1, end):
                 hits = sum(
                     least <= lam and (top is INFINITY or lam <= top)

@@ -211,11 +211,17 @@ def naive_tree(
     expand(depth, labels, parents), called after each layer is built (with
     no parents at the root), returns one flag per class of the layer: list
     its children or not.  The default lists every class.  The node budget
-    counts the listed classes.  `children` is the _Children kernel to share
-    with the caller (default: a fresh one).
+    counts the listed classes; as each class's extensions are read off the
+    p^n digit vectors, a system with p^n above the budget is refused first.
+    `children` is the _Children kernel to share with the caller (default: a
+    fresh one).
     """
     if depth_cap < 0:
         raise DomainError("negative depth cap")
+    if sys.p**sys.n > node_budget:
+        raise NodeBudgetExceeded(
+            f"p^n = {sys.p}^{sys.n} exceeds the node budget of {node_budget}"
+        )
     if children is None:
         children = _Children(sys)
     layer = [(0,) * sys.n]

@@ -458,10 +458,7 @@ def cell_gf(M, variables=None) -> RationalGF:
         variables = tuple(f"Y{i + 1}" for i in range(m))
     if len(variables) != m:
         raise DomainError("one variable per coordinate required")
-    total = gf_zero(variables)
-    for c in cells:
-        total = gf_add(total, _one_cell_gf(c, variables))
-    return total
+    return gf_add(gf_zero(variables), *(_one_cell_gf(c, variables) for c in cells))
 
 
 def _one_cell_gf(c: GammaCell, variables) -> RationalGF:
@@ -481,7 +478,7 @@ def _subst(exps, k, g):
 def _region_sum(c, k, cong, terms, variables) -> RationalGF:
     m = c.m
     if k < 0:
-        total = gf_zero(variables)
+        monos = []
         for coef, exps, den in terms:
             mono = []
             for e in exps:
@@ -492,17 +489,14 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
                 if e.const < 0:
                     raise DomainError("negative exponent: set leaves Gamma_{>=0}")
                 mono.append(int(e.const))
-            total = gf_add(
-                total,
-                RationalGF.make(variables, {tuple(mono): coef}, Counter(den)),
-            )
-        return total
+            monos.append(RationalGF.make(variables, {tuple(mono): coef}, den))
+        return gf_add(gf_zero(variables), *monos)
 
     lo_fn, hi_fn = c.bounds[k]
     finite = hi_fn is not INFINITY
     bound_fns = (lo_fn, hi_fn) if finite else (lo_fn,)
     const_len = finite and (hi_fn - lo_fn).is_constant()
-    result = gf_zero(variables)
+    parts = []
     for coef, exps, den in terms:
         r_k, rho_k = cong[k]
         alpha = [e.coeffs[k] for e in exps]
@@ -563,9 +557,7 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
                     for t in range(max(count, 0))
                 ]
                 if children:
-                    result = gf_add(
-                        result, _region_sum(c, k - 1, cong2, children, variables)
-                    )
+                    parts.append(_region_sum(c, k - 1, cong2, children, variables))
                 continue
 
             sgn = 1 if pos else -1
@@ -585,5 +577,5 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
             children = [(coef, _subst(exps, k, lo_form), den2)]
             if hi_form is not None:
                 children.append((-coef, _subst(exps, k, hi_form), den2))
-            result = gf_add(result, _region_sum(c, k - 1, cong2, children, variables))
-    return result
+            parts.append(_region_sum(c, k - 1, cong2, children, variables))
+    return gf_add(gf_zero(variables), *parts)

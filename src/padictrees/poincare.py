@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -37,7 +38,6 @@ from .ratfun import (
     expand_series,
     gf_add,
     gf_mul,
-    gf_monomial,
     gf_zero,
     substitute,
 )
@@ -67,10 +67,6 @@ def _rename(f: RationalGF, variables) -> RationalGF:
     return RationalGF.make(
         variables, dict(f.numerator), Counter(dict(f.denominator))
     )
-
-
-def _z_power(k: int, variables) -> RationalGF:
-    return gf_monomial(variables, (k,) + (0,) * (len(variables) - 1))
 
 
 def _merge_bound(b1, b2, what):
@@ -146,7 +142,7 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int, memo: dict) -> RationalGF:
         return hit
     m_tot = dom.m
     variables = _vars(m_tot)
-    total = gf_zero(variables)
+    parts = []
     for j in D.skeleton.real_joints():
         d_fn = joint_depth_fn(D, j)
         shifted = GammaSet(
@@ -157,7 +153,7 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int, memo: dict) -> RationalGF:
             m_tot + 1,
         )
         g = _branch_gf(D.joint_branch(j), shifted, p, memo)
-        total = gf_add(total, substitute(g, f"Y{m_tot + 1}", 1, {"Z": 1}))
+        parts.append(substitute(g, f"Y{m_tot + 1}", 1, {"Z": 1}))
     for j, piece, br in D.bone_branches:
         cells = []
         for c in dom.cells:
@@ -168,30 +164,32 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int, memo: dict) -> RationalGF:
             continue
         g = _branch_gf(br, GammaSet(tuple(cells), m_tot + 1), p, memo)
         g = substitute(g, f"Y{D.m + 1}", 1, {"Z": 1})
-        total = gf_add(total, _rename(g, variables))
-    memo[key] = total
+        parts.append(_rename(g, variables))
+    memo[key] = total = gf_add(gf_zero(variables), *parts)
     return total
 
 
 def _branch_gf(br, dom: GammaSet, p: int, memo: dict) -> RationalGF:
     """GF of a side branch summed over the attachment sites in dom: fintree
     nodes weighted Z^depth, each non-terminal leaf continuing with
-    T(Z_p) x side tree via the scaling substitution Z -> pZ."""
+    T(Z_p) x side tree via the scaling substitution Z -> pZ.  Nodes that
+    carry the same GF share one product with the sum of their Z^depth."""
     variables = _vars(dom.m)
     base = _lift_z(cell_gf(dom), variables)
-    leaf_ids = br.leaves()
-    leaf_map = dict(zip(leaf_ids, br.leaf_data))
-    total = gf_zero(variables)
+    leaf_map = dict(zip(br.leaves(), br.leaf_data))
+    weights: dict = {}  # side datum (TERMINAL: the cell GF) -> sum of Z^depth
     for u in range(len(br.parents)):
-        side = leaf_map.get(u)
-        if u in leaf_map and side is not TERMINAL:
-            # the leaf itself is depth 0 of the attached T(Z_p) x side tree
-            g = substitute(_datum_gf(side, dom, p, memo), "Z", p, {"Z": 1})
-            contrib = gf_mul(g, _z_power(br.depth_of(u), variables))
-        else:
-            contrib = gf_mul(base, _z_power(br.depth_of(u), variables))
-        total = gf_add(total, contrib)
-    return total
+        w = weights.setdefault(leaf_map.get(u, TERMINAL), {})
+        z = (br.depth_of(u),) + (0,) * dom.m
+        w[z] = w.get(z, Fraction(0)) + 1
+    parts = []
+    for side, w in weights.items():
+        # a side leaf itself is depth 0 of the attached T(Z_p) x side tree
+        g = base if side is TERMINAL else substitute(
+            _datum_gf(side, dom, p, memo), "Z", p, {"Z": 1}
+        )
+        parts.append(gf_mul(g, RationalGF.make(variables, w, Counter())))
+    return gf_add(gf_zero(variables), *parts)
 
 
 @dataclass(frozen=True)

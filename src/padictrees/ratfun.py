@@ -19,15 +19,14 @@ Poly = dict[Mono, Fraction]  # exponent vector -> coefficient
 Factor = tuple[int, Mono]  # (c, e) stands for 1 - c * X^e
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
+def _poly_iadd(out: Poly, terms) -> None:
+    """Add the (monomial, coefficient) pairs of terms into out in place."""
+    for m, c in terms:
         s = out.get(m, Fraction(0)) + c
         if s:
             out[m] = s
         elif m in out:
             del out[m]
-    return out
 
 
 def poly_neg(a: Poly) -> Poly:
@@ -36,13 +35,9 @@ def poly_neg(a: Poly) -> Poly:
 def poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            s = out.get(m, Fraction(0)) + c1 * c2
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+        _poly_iadd(out, (
+            (tuple(x + y for x, y in zip(m1, m2)), c1 * c2) for m2, c2 in b.items()
+        ))
     return out
 
 
@@ -51,12 +46,7 @@ def factor_poly(f: Factor, nvars: int) -> Poly:
     zero = (0,) * nvars
     if e == zero:
         raise DomainError("constant denominator factor")
-    out = {zero: Fraction(1)}
-    prev = out.get(e, Fraction(0))
-    out[e] = prev - c
-    if not out[e]:
-        del out[e]
-    return out
+    return {zero: Fraction(1), e: Fraction(-c)} if c else {zero: Fraction(1)}
 
 
 def poly_div_exact(num: Poly, f: Factor, nvars: int) -> Poly | None:
@@ -77,11 +67,7 @@ def poly_div_exact(num: Poly, f: Factor, nvars: int) -> Poly | None:
             # quotient degree bound exceeded: not divisible
             if c * coef:
                 return None
-        s = r.get(m2, Fraction(0)) + c * coef
-        if s:
-            r[m2] = s
-        elif m2 in r:
-            del r[m2]
+        _poly_iadd(r, ((m2, c * coef),))
     return q
 
 
@@ -202,25 +188,35 @@ def gf_geometric(variables, factor: Factor) -> RationalGF:
     return RationalGF.make(variables, {(0,) * nv: Fraction(1)}, Counter([factor]))
 
 
+def _times(num: Poly, factors, nvars: int) -> Poly:
+    """num times each (factor, multiplicity) of factors."""
+    for key, mult in factors:
+        for _ in range(mult):
+            num = poly_mul(num, factor_poly(key, nvars))
+    return num
+
+
 def _check_vars(f: RationalGF, g: RationalGF):
     if f.variables != g.variables:
         raise DomainError(f"variable mismatch: {f.variables} vs {g.variables}")
 
 
-def gf_add(f: RationalGF, g: RationalGF) -> RationalGF:
-    _check_vars(f, g)
-    fd, gd = f.den_counter(), g.den_counter()
+def gf_add(f: RationalGF, *more: RationalGF) -> RationalGF:
+    """The sum of f and more, normalised once: the numerators over equal
+    denominators are added, and each such group is multiplied up to the
+    common denominator, which takes each factor at its largest multiplicity."""
+    groups: dict = {}
+    for g in (f, *more):
+        _check_vars(f, g)
+        _poly_iadd(groups.setdefault(g.denominator, {}), g.numerator)
     common = Counter()
-    for key in set(fd) | set(gd):
-        common[key] = max(fd.get(key, 0), gd.get(key, 0))
-    nv = f.nvars()
-    fnum, gnum = f.num_poly(), g.num_poly()
-    for key in common:
-        for _ in range(common[key] - fd.get(key, 0)):
-            fnum = poly_mul(fnum, factor_poly(key, nv))
-        for _ in range(common[key] - gd.get(key, 0)):
-            gnum = poly_mul(gnum, factor_poly(key, nv))
-    return gf_normalize(RationalGF.make(f.variables, poly_add(fnum, gnum), common))
+    for den in groups:
+        common |= Counter(dict(den))
+    num: Poly = {}
+    for den, part in groups.items():
+        missing = common - Counter(dict(den))
+        _poly_iadd(num, _times(part, missing.items(), f.nvars()).items())
+    return gf_normalize(RationalGF.make(f.variables, num, common))
 
 
 def gf_neg(f: RationalGF) -> RationalGF:
@@ -242,16 +238,8 @@ def gf_mul(f: RationalGF, g: RationalGF) -> RationalGF:
 def gf_equal(f: RationalGF, g: RationalGF) -> bool:
     """Exact equality via cross-multiplied polynomial identity."""
     _check_vars(f, g)
-    nv = f.nvars()
-    lhs = f.num_poly()
-    for key, mult in g.denominator:
-        for _ in range(mult):
-            lhs = poly_mul(lhs, factor_poly(key, nv))
-    rhs = g.num_poly()
-    for key, mult in f.denominator:
-        for _ in range(mult):
-            rhs = poly_mul(rhs, factor_poly(key, nv))
-    return lhs == rhs
+    lhs = _times(f.num_poly(), g.denominator, f.nvars())
+    return lhs == _times(g.num_poly(), f.denominator, f.nvars())
 
 
 def gf_normalize(f: RationalGF) -> RationalGF:
@@ -305,11 +293,7 @@ def substitute(f: RationalGF, var: str, coef: int, target: dict[str, int]) -> Ra
     num: Poly = {}
     for m, c in f.numerator:
         m2, t = map_mono(m)
-        s = num.get(m2, Fraction(0)) + c * coef**t
-        if s:
-            num[m2] = s
-        elif m2 in num:
-            del num[m2]
+        _poly_iadd(num, ((m2, c * coef**t),))
     den = Counter()
     for (c, e), mult in f.denominator:
         e2, t = map_mono(e)
@@ -323,6 +307,8 @@ def expand_series(f: RationalGF, k: int) -> list[Fraction]:
     """Coefficients c_0..c_k of the univariate expansion (exact rationals)."""
     if f.nvars() != 1:
         raise DomainError("expand_series needs a univariate GF")
+    if k < 0:
+        raise DomainError(f"series order must be >= 0, not {k}")
     coeffs = [Fraction(0)] * (k + 1)
     for (e,), c in f.numerator:
         if e <= k:

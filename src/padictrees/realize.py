@@ -232,17 +232,13 @@ class SkeletonFns:
         return tuple(out)
 
 
-def skeleton_fns(D: TreeDatum, margins=None, ctx=None) -> SkeletonFns:
-    """Skeleton functions of a datum over the rectangle with the given
-    margins; the base depth is lambda(kappa) = kappa_m + margin_m."""
-    if margins is None:
-        margins = (1,) * D.m
-    if len(margins) != D.m:
-        raise DomainError("one margin per parameter required")
+def skeleton_fns(D: TreeDatum) -> SkeletonFns:
+    """Skeleton functions of a datum; the base depth is lambda(kappa) =
+    kappa_m + 1 (0 when there are no parameters)."""
     if D.m == 0:
         lam_fn = const_fn(0, 0)
     else:
-        lam_fn = var(D.m - 1, D.m) + margins[-1]
+        lam_fn = var(D.m - 1, D.m) + 1
     ells = tuple(
         tuple((slot, d_fn + lam_fn) for slot, d_fn in t)
         for t in _skeleton_terms(D)
@@ -517,21 +513,22 @@ def _denom_val(D: TreeDatum, p: int) -> int:
     return pval(p, e)
 
 
-def realize(D: TreeDatum, depth_cap: int, ctx=None, p=None) -> WitnessCloud:
+def realize(D: TreeDatum, depth_cap: int, p: int) -> WitnessCloud:
     """A witness cloud whose tree matches expand(D, (), p, depth_cap).
 
     The datum must be unparametrized, of level at most 2, and leafless;
     these refusals come before validate's checks.
     """
+    if depth_cap < 0:
+        raise DomainError(f"realize needs a depth >= 0, not {depth_cap}")
     if D.m != 0:
         raise NotRealizable("only unparametrized data are realized")
     if D.level > 2:
         raise LevelCap(f"level-{D.level} datum; realization stops at level 2")
     _check_leafless(D)
-    if ctx is None:
-        if p is None or not _is_prime(p):
-            raise DomainError(f"realize needs a prime or a context, not p = {p}")
-        ctx = RealizationContext(p, depth_cap + 2 * _denom_val(D, p) + 6)
+    if not _is_prime(p):
+        raise DomainError(f"realize needs a prime, not p = {p}")
+    ctx = RealizationContext(p, depth_cap + 2 * _denom_val(D, p) + 6)
     issues = validate(D)
     if issues:
         raise InvalidDatum("; ".join(issues))

@@ -8,7 +8,10 @@ from padictrees.cli import main
 from padictrees.datum import y_datum, zpn_datum
 from padictrees.errors import DomainError
 from padictrees.padic import pval
+from padictrees.poincare import datum_poincare
 from padictrees.polysys import PRIME_LIMIT, PolySystem, _is_prime, make_system
+from padictrees.ratfun import expand_series
+from padictrees.realize import realize
 from padictrees.trees import TruncTree, full_tree, is_isomorphic, path_tree, y_tree
 
 
@@ -214,3 +217,39 @@ def test_pval_needs_a_prime():
         with pytest.raises(DomainError):
             pval(p, 0)
     assert pval(5, 250) == 3 and pval(2, 0) is None
+
+
+def test_prime_too_large_to_enumerate_is_refused(tmp_path, capsys):
+    # listing x = 0 mod p would go through all p digits before the budget
+    p = 2**61 - 1
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(_system_json(p, 1, [(1, (1,))])))
+    for cmd in ("naive", "enum"):
+        argv = [cmd, str(path), "--depth", "1", "--node-budget", "10"]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{p}^1" in err and "node budget of 10" in err
+
+
+def test_negative_orders_and_depths_refused(tmp_path, capsys):
+    datum = tmp_path / "y.json"
+    datum.write_text(json.dumps(y_datum(1, m=0).to_json()))
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps(y_tree(1, 3).to_json()))
+    for argv in (
+        ["poincare", "--datum", str(datum), "--p", "3", "--coeffs", "-1"],
+        ["poincare", "--tree", str(tree), "--coeffs", "-1"],
+        ["realize", str(datum), "--p", "3", "--depth", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "-1" in captured.err
+    with pytest.raises(DomainError, match="order"):
+        expand_series(datum_poincare(y_datum(1, m=0), 3), -1)
+    with pytest.raises(DomainError, match="depth"):
+        realize(y_datum(1, m=0), -1, p=3)

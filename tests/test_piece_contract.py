@@ -7,6 +7,7 @@ depth twice or beyond a bone's end.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -90,3 +91,39 @@ def test_piece_on_the_bone_boundary_is_accepted():
     assert validate(D) == []
     assert expand_series(datum_poincare(D, 3), 310) == expand_counts(D, (), 3, 310)
 
+
+
+def _bones(lengths, pieces):
+    """A chain of bones of the given lengths (None for the last, infinite
+    one); pieces lists (bone, lo, hi) with hi None for no upper bound."""
+    lengths = tuple(INFINITY if ln is None else const_fn(ln, 0) for ln in lengths)
+    return TreeDatum(
+        level=0, m=0, domain=whole_quadrant(0), rho=1,
+        skeleton=SkeletonDatum((-1,) + tuple(range(len(lengths))), lengths),
+        joint_branches=tuple((j, terminal_branch()) for j in range(len(lengths))),
+        bone_branches=tuple(
+            (j, strip_piece(0, lo, INFINITY if hi is None else hi), terminal_branch())
+            for j, lo, hi in pieces
+        ),
+    )
+
+
+# coverage is read past the first depths of a bone: each of these passed a
+# check of 8 depths below the parent joint and gave a wrong series
+GAPS = [
+    (_bones([None], [(1, 1, 10), (1, 12, None)]), ["no piece covers (11,)"]),
+    (_bones([None], [(1, 1, 12), (1, 11, None)]),
+     ["pieces overlap at (11,)", "pieces overlap at (12,)"]),
+    (_bones([20, None], [(1, 1, 14), (1, 16, 19), (2, 21, None)]),
+     ["no piece covers (15,)"]),
+]
+
+
+@pytest.mark.parametrize("D, msgs", GAPS)
+def test_coverage_is_decided_along_the_whole_bone(D, msgs):
+    issues = validate(D)
+    assert [msg for msg in issues if "covers" in msg or "overlap" in msg] == [
+        f"bone 1: {msg}" for msg in msgs
+    ]
+    with pytest.raises(InvalidDatum, match=re.escape(msgs[0])):
+        datum_poincare(D, 3)
