@@ -47,13 +47,20 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     def add(name, help):
         return sub.add_parser(name, help=help) if command in (None, name) else None
 
-    def common(sp, depth=True):
+    def out(sp, *formats):
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=["json", "dot", "text"], default="json",
-                        help="output rendering")
+        if formats:
+            sp.add_argument("--format", choices=formats, default="json",
+                            help="output rendering")
+
+    def depth(sp):
+        sp.add_argument("--depth", type=int, required=True, help="truncation depth")
+
+    def tree_out(sp):
+        # the commands that build a tree, and only they, take a node budget
+        out(sp, "json", "dot", "text")
         sp.add_argument("--node-budget", type=int, default=10**7)
-        if depth:
-            sp.add_argument("--depth", type=int, required=True, help="truncation depth")
+        depth(sp)
 
     if sp := add("enum", "tree of lifting residue classes"):
         sp.add_argument("system", help="polynomial system JSON")
@@ -61,16 +68,16 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                         help="certification window (default: depth)")
         sp.add_argument("--cert-budget", type=int, default=4000,
                         help="per-class certification search budget")
-        common(sp)
+        tree_out(sp)
     if sp := add("naive", "tree of residue-class solutions"):
         sp.add_argument("system")
-        common(sp)
+        tree_out(sp)
     if sp := add("expand", "expand a tree datum"):
         sp.add_argument("datum")
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--param", default="",
                         help="comma-separated parameter values")
-        common(sp)
+        tree_out(sp)
     if sp := add("poincare", "exact Poincare series"):
         sp.add_argument("--datum", help="tree datum JSON")
         sp.add_argument("--tree", help="tree JSON (coefficient mode)")
@@ -78,17 +85,18 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                         help="prime for datum mode (default 3)")
         sp.add_argument("--coeffs", type=int, default=None,
                         help="expand the series to this order")
-        common(sp, depth=False)
+        out(sp, "json", "text")
     if sp := add("iso", "compare two trees up to isomorphism"):
         sp.add_argument("a")
         sp.add_argument("b")
-        common(sp, depth=False)
+        out(sp)
     if sp := add("realize", "witness cloud of a datum"):
         sp.add_argument("datum")
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--check", action="store_true",
                         help="verify the cloud against the expansion")
-        common(sp)
+        out(sp)
+        depth(sp)
     if sp := add("dot", "render a tree as DOT"):
         sp.add_argument("tree")
         sp.add_argument("--thick", action="store_true",
@@ -96,7 +104,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, default=None,
                         help="branching factor for --thick")
         sp.add_argument("--labels", action="store_true")
-        common(sp, depth=False)
+        out(sp)
     return ap
 
 

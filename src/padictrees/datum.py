@@ -60,6 +60,13 @@ class _Terminal:
 TERMINAL = _Terminal()
 
 
+def _kids(parents) -> tuple[tuple[int, ...], ...]:
+    kids = [[] for _ in parents]
+    for i, par in enumerate(parents[1:], start=1):
+        kids[par].append(i)
+    return tuple(map(tuple, kids))
+
+
 def _check_parents(parents):
     if not parents or parents[0] != -1:
         raise InvalidDatum("node 0 must be the root (parent -1)")
@@ -81,9 +88,8 @@ class SkeletonDatum:
         _check_parents(self.parents)
         if len(self.lengths) != len(self.parents) - 1:
             raise InvalidDatum("one bone length per non-root joint required")
-        kids = self.children_map()
         for j, ln in enumerate(self.lengths, start=1):
-            if ln is INFINITY and kids[j]:
+            if ln is INFINITY and self.kids[j]:
                 raise InvalidDatum(f"infinite bone into non-leaf joint {j}")
             if ln is not INFINITY and not isinstance(ln, LinearFn):
                 raise InvalidDatum("bone length must be a LinearFn or INFINITY")
@@ -92,11 +98,10 @@ class SkeletonDatum:
     def num_joints(self) -> int:
         return len(self.parents)
 
-    def children_map(self):
-        kids = [[] for _ in self.parents]
-        for j, par in enumerate(self.parents[1:], start=1):
-            kids[par].append(j)
-        return kids
+    @cached_property
+    def kids(self) -> tuple[tuple[int, ...], ...]:
+        """Child joints of each joint, in increasing order."""
+        return _kids(self.parents)
 
     def is_virtual(self, j: int) -> bool:
         return j > 0 and self.lengths[j - 1] is INFINITY
@@ -121,18 +126,25 @@ class SideBranchDatum:
             if d is not TERMINAL and not isinstance(d, TreeDatum):
                 raise InvalidDatum("leaf datum must be a TreeDatum or TERMINAL")
 
+    @cached_property
+    def kids(self) -> tuple[tuple[int, ...], ...]:
+        """Children of each fintree node, in increasing order."""
+        return _kids(self.parents)
+
+    @cached_property
+    def depths(self) -> tuple[int, ...]:
+        """Depth of each fintree node below the root; parents come first,
+        so one pass fills it."""
+        depths = [0] * len(self.parents)
+        for i in range(1, len(self.parents)):
+            depths[i] = depths[self.parents[i]] + 1
+        return tuple(depths)
+
     def leaves(self):
-        has_child = [False] * len(self.parents)
-        for par in self.parents[1:]:
-            has_child[par] = True
-        return [i for i, h in enumerate(has_child) if not h]
+        return [i for i, k in enumerate(self.kids) if not k]
 
     def depth_of(self, i: int) -> int:
-        d = 0
-        while i != 0:
-            i = self.parents[i]
-            d += 1
-        return d
+        return self.depths[i]
 
     def is_trivial(self) -> bool:
         return len(self.parents) == 1 and self.leaf_data[0] is TERMINAL
@@ -214,8 +226,15 @@ class TreeDatum:
     def joint_branch(self, j: int) -> SideBranchDatum:
         return self._joint_map[j]
 
+    @cached_property
+    def _bone_map(self) -> dict[int, list[tuple[GammaCell, SideBranchDatum]]]:
+        out = {}
+        for j, piece, br in self.bone_branches:
+            out.setdefault(j, []).append((piece, br))
+        return out
+
     def bone_pieces(self, j: int):
-        return [(piece, br) for jj, piece, br in self.bone_branches if jj == j]
+        return self._bone_map.get(j, [])
 
     def find_piece(self, j: int, point):
         hits = [
@@ -460,7 +479,6 @@ def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> Tr
     budget.take()  # the root
     # per-depth parent lists, each layer in the order its nodes are made
     parents: list[list[int]] = [[] for _ in range(cap)]
-    kids_map = D.skeleton.children_map()
 
     def new_node(depth, par):
         budget.take()
@@ -470,27 +488,43 @@ def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> Tr
 
     def attach_branch(node, depth, branch, params):
         # fintree nodes, then T(Z_p) x side tree at non-terminal leaves
+        depths = branch.depths
         fnodes = {0: node}
         for i in range(1, len(branch.parents)):
-            d = depth + branch.depth_of(i)
+            d = depth + depths[i]
             par = fnodes[branch.parents[i]]
             fnodes[i] = None if d > cap or par is None else new_node(d, par)
         for leaf, side in zip(branch.leaves(), branch.leaf_data):
             if side is TERMINAL:
                 continue
-            d = depth + branch.depth_of(leaf)
+            d = depth + depths[leaf]
             if d > cap or fnodes[leaf] is None:
                 continue
             rem = cap - d
-            sub = expand(side, params, p, rem, budget.limit - budget.used)
+            # the side tree's root is the leaf node, already counted
+            try:
+                sub = expand(side, params, p, rem, budget.limit - budget.used + 1)
+            except NodeBudgetExceeded:
+                raise NodeBudgetExceeded(
+                    f"expansion exceeds {budget.limit} nodes"
+                ) from None
             grown = product(full_tree(1, p, rem), sub)
             budget.take(max(grown.num_nodes() - 1, 0))
             _graft(parents, None, (d, fnodes[leaf]), grown)
 
-    def place_joint(j, node, depth):
-        # skeleton children first, side branches after (deterministic order)
-        for j2 in kids_map[j]:
-            ln = D.skeleton.lengths[j2 - 1]
+    # _breadth_first orders a layer by parent, then by the order the nodes
+    # were made, so the tree depends only on the order in which each node's
+    # children are made: skeleton children in kids order, then side
+    # branches.  Joints are numbered parents first, so one loop over them
+    # meets each joint after the joint above it has placed it.
+    sk = D.skeleton
+    placed = {0: (0, 0)}  # joint -> (node, depth), for joints within the cap
+    for j in range(sk.num_joints):
+        if j not in placed:
+            continue
+        node, depth = placed[j]
+        for j2 in sk.kids[j]:
+            ln = sk.lengths[j2 - 1]
             if ln is INFINITY:
                 length = cap - depth + 1  # materialize to the cap; no end joint
             else:
@@ -501,35 +535,17 @@ def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> Tr
                     )
             cur = node
             chain = []
-            for lam in range(depth + 1, depth + length):
-                if lam > cap:
-                    cur = None
-                    break
+            for lam in range(depth + 1, min(depth + length, cap + 1)):
                 cur = new_node(lam, cur)
                 chain.append((cur, lam))
-            if cur is not None and ln is not INFINITY and depth + length <= cap:
-                yield j2, new_node(depth + length, cur), depth + length
+            if ln is not INFINITY and depth + length <= cap:
+                placed[j2] = new_node(depth + length, cur), depth + length
             for nxt, lam in chain:
                 _, br = D.find_piece(j2, kappa + (lam,))
                 attach_branch(nxt, lam, br, kappa + (lam,))
-        if not D.skeleton.is_virtual(j):
+        if not sk.is_virtual(j):
             attach_branch(node, depth, D.joint_branch(j), kappa)
-
-    _walk(place_joint, 0, 0, 0)
     return TruncTree(cap, _breadth_first(parents))
-
-
-def _walk(visit, *root):
-    """Run the recursion visit(*root) on an explicit stack: visit is a
-    generator function that yields the arguments of each recursive call, so
-    Python's recursion limit does not bound the skeleton's depth."""
-    stack = [visit(*root)]
-    while stack:
-        call = next(stack[-1], None)
-        if call is None:
-            stack.pop()
-        else:
-            stack.append(visit(*call))
 
 
 def _breadth_first(parents: list[list[int]]) -> list[list[int]]:
@@ -566,17 +582,17 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
     if D.skeleton.num_joints == 0:
         return [0] * (depth_cap + 1)
     counts = [0] * (depth_cap + 1)
-    kids_map = D.skeleton.children_map()
 
     def add_branch(depth, branch, params):
+        depths = branch.depths
         for i in range(1, len(branch.parents)):
-            d = depth + branch.depth_of(i)
+            d = depth + depths[i]
             if d <= depth_cap:
                 counts[d] += 1
         for leaf, side in zip(branch.leaves(), branch.leaf_data):
             if side is TERMINAL:
                 continue
-            d = depth + branch.depth_of(leaf)
+            d = depth + depths[leaf]
             if d > depth_cap:
                 continue
             rem = depth_cap - d
@@ -584,12 +600,17 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
             for i in range(1, rem + 1):
                 counts[d + i] += p**i * sub[i]
 
-    def place_joint(j, depth):
+    sk = D.skeleton
+    placed = {0: 0}  # joint -> depth, for joints within the cap
+    for j in range(sk.num_joints):
+        if j not in placed:
+            continue
+        depth = placed[j]
         counts[depth] += 1
-        if not D.skeleton.is_virtual(j):
+        if not sk.is_virtual(j):
             add_branch(depth, D.joint_branch(j), kappa)
-        for j2 in kids_map[j]:
-            ln = D.skeleton.lengths[j2 - 1]
+        for j2 in sk.kids[j]:
+            ln = sk.lengths[j2 - 1]
             if ln is INFINITY:
                 length = depth_cap - depth + 1
             else:
@@ -599,9 +620,7 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
                 _, br = D.find_piece(j2, kappa + (lam,))
                 add_branch(lam, br, kappa + (lam,))
             if ln is not INFINITY and depth + length <= depth_cap:
-                yield j2, depth + length
-
-    _walk(place_joint, 0, 0)
+                placed[j2] = depth + length
     _memo[key] = counts
     return counts
 

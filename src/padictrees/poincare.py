@@ -180,7 +180,7 @@ def _branch_gf(br, dom: GammaSet, p: int, memo: dict) -> RationalGF:
     weights: dict = {}  # side datum (TERMINAL: the cell GF) -> sum of Z^depth
     for u in range(len(br.parents)):
         w = weights.setdefault(leaf_map.get(u, TERMINAL), {})
-        z = (br.depth_of(u),) + (0,) * dom.m
+        z = (br.depths[u],) + (0,) * dom.m
         w[z] = w.get(z, Fraction(0)) + 1
     parts = []
     for side, w in weights.items():

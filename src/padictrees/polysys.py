@@ -80,26 +80,17 @@ class PolySystem:
                 if q.denominator % self.p == 0:
                     raise DomainError("witness is not p-integral")
             for i in range(len(self.polys)):
-                if self.eval_poly_rat(i, w) != 0:
+                if self.eval_poly(i, w) != 0:
                     raise DomainError(f"witness {w} does not satisfy equation {i}")
 
     def eval_poly(self, i: int, point) -> int:
+        """f_i at the point; exact on Fraction points too."""
         total = 0
         for c, exps in self.polys[i]:
             t = c
             for x, e in zip(point, exps):
                 if e:
                     t *= x**e
-            total += t
-        return total
-
-    def eval_poly_rat(self, i: int, point) -> Fraction:
-        total = Fraction(0)
-        for c, exps in self.polys[i]:
-            t = Fraction(c)
-            for x, e in zip(point, exps):
-                if e:
-                    t *= Fraction(x) ** e
             total += t
         return total
 

@@ -191,23 +191,6 @@ def separating_depth(D: TreeDatum, i: int, j: int) -> LinearFn:
     return table.depth_fns[a]
 
 
-def _skeleton_terms(D: TreeDatum):
-    """Per joint, the chain of (slot, depth-fn) increments defining f_j.
-
-    Joint j extends f_i for the latest earlier joint i whose separation
-    from j is maximal (the parent joint's depth); taking the latest such i
-    ensures that two terms sharing a slot always have distinct valuations,
-    so v(f_i - f_j) = separation + lambda holds with no cancellation.
-    """
-    table = D.skeleton_table
-    terms = [()]
-    for j in range(1, D.skeleton.num_joints):
-        i = table.i_star[j]
-        d_fn = table.depth_fns[D.skeleton.parents[j]]
-        terms.append(terms[i] + ((i + 1, d_fn),))
-    return terms
-
-
 @dataclass(frozen=True)
 class SkeletonFns:
     """The joint functions f_0 = 0, f_j = f_i + u_ell * e_slot.
@@ -234,17 +217,25 @@ class SkeletonFns:
 
 def skeleton_fns(D: TreeDatum) -> SkeletonFns:
     """Skeleton functions of a datum; the base depth is lambda(kappa) =
-    kappa_m + 1 (0 when there are no parameters)."""
+    kappa_m + 1 (0 when there are no parameters).
+
+    Joint j extends f_i for the latest earlier joint i whose separation
+    from j is maximal (the parent joint's depth); taking the latest such i
+    ensures that two terms sharing a slot always have distinct valuations,
+    so v(f_i - f_j) = separation + lambda holds with no cancellation.
+    """
     if D.m == 0:
         lam_fn = const_fn(0, 0)
     else:
         lam_fn = var(D.m - 1, D.m) + 1
-    ells = tuple(
-        tuple((slot, d_fn + lam_fn) for slot, d_fn in t)
-        for t in _skeleton_terms(D)
-    )
-    width = max((i + 1 for i in D.skeleton_table.i_star[1:]), default=0)
-    return SkeletonFns(D.m, width, ells)
+    table = D.skeleton_table
+    ells = [()]
+    for j in range(1, D.skeleton.num_joints):
+        i = table.i_star[j]
+        d_fn = table.depth_fns[D.skeleton.parents[j]]
+        ells.append(ells[i] + ((i + 1, d_fn + lam_fn),))
+    width = max((i + 1 for i in table.i_star[1:]), default=0)
+    return SkeletonFns(D.m, width, tuple(ells))
 
 
 # ---------------------------------------------------------------------------
@@ -309,59 +300,45 @@ class WitnessCloud:
             return WitnessCloud.from_json(json.load(fh))
 
 
-def _check_leafless(D: TreeDatum):
-    """Reject data whose expansions stop: a side branch ending above its
-    attachment point or a dead-end real joint produce tree leaves."""
-    kids = D.skeleton.children_map()
+def _check_and_size(D: TreeDatum, p: int):
+    """Refuse data whose expansions stop: a side branch ending above its
+    attachment point or a dead-end real joint produce tree leaves.  Else
+    return the coordinates needed behind the reserved one (skeleton slots,
+    branch embedding widths, and one extra per recursion level) and the lcm
+    of all bone-length denominators, side data included."""
+    kids = D.skeleton.kids
     for j in D.skeleton.real_joints():
-        br = D.joint_branch(j)
-        if not kids[j] and all(s is TERMINAL for s in br.leaf_data):
+        if not kids[j] and all(s is TERMINAL for s in D.joint_branch(j).leaf_data):
             raise NotLeafless(f"joint {j} is a dead end")
-    for br, _ in D.side_data():
-        for leaf, side in zip(br.leaves(), br.leaf_data):
-            if side is TERMINAL:
-                if br.depth_of(leaf) > 0:
-                    raise NotLeafless(
-                        f"a side branch ends at depth {br.depth_of(leaf)}"
-                    )
-            else:
-                if br.depth_of(leaf) == 0:
-                    raise NotRealizable("a side tree is attached at depth 0")
-                _check_leafless(side)
-
-
-def _ydim(D: TreeDatum, p: int) -> int:
-    """Coordinates needed behind the reserved one: skeleton slots, branch
-    embedding widths, and one extra per recursion level."""
     need = max((i + 1 for i in D.skeleton_table.i_star[1:]), default=1)
+    e = lcm(*(ln.integral()[2] for ln in D.skeleton.lengths if ln is not INFINITY))
     for br, _ in D.side_data():
-        counts = [0] * len(br.parents)
-        for q in br.parents[1:]:
-            counts[q] += 1
-        mx = max(counts)
-        if mx:
-            w = 1
-            while p**w < mx:
-                w += 1
-            need = max(need, w)
-        for side in br.leaf_data:
-            if side is not TERMINAL:
-                need = max(need, 1 + _ydim(side, p))
-    return need
+        w, wide = 1, max(map(len, br.kids))
+        while p**w < wide:
+            w += 1
+        need = max(need, w)
+        for leaf, side in zip(br.leaves(), br.leaf_data):
+            dw = br.depths[leaf]
+            if side is TERMINAL:
+                if dw > 0:
+                    raise NotLeafless(f"a side branch ends at depth {dw}")
+            elif dw == 0:
+                raise NotRealizable("a side tree is attached at depth 0")
+            else:
+                side_need, side_e = _check_and_size(side, p)
+                need, e = max(need, 1 + side_need), lcm(e, side_e)
+    return need, e
 
 
 def _embed_centers(br, p: int, width: int):
     """Ball centers of an embedding of the branch fintree into the tree of
     Z_p^width: children get the lexicographically least distinct digits."""
     centers = [(0,) * width] + [None] * (len(br.parents) - 1)
-    kids = [[] for _ in br.parents]
-    for i, q in enumerate(br.parents[1:], start=1):
-        kids[q].append(i)
-    for q in range(len(br.parents)):
-        if len(kids[q]) > p**width:
+    for q, kids in enumerate(br.kids):
+        if len(kids) > p**width:
             raise DomainError("fintree branching exceeds the embedding width")
-        d = br.depth_of(q)
-        for i, dig in zip(kids[q], iproduct(*[range(p)] * width)):
+        d = br.depths[q]
+        for i, dig in zip(kids, iproduct(*[range(p)] * width)):
             centers[i] = tuple(c + t * p**d for c, t in zip(centers[q], dig))
     return centers
 
@@ -428,7 +405,7 @@ def _plan(memo, D, forms, lam_form, kappa, lam, rem, dim, ctx):
         for leaf, side in zip(br.leaves(), br.leaf_data):
             if side is TERMINAL:
                 continue
-            dw = br.depth_of(leaf)
+            dw = br.depths[leaf]
             rem2 = rem - lam_rel - dw
             # the samples z = p^ka (1 + p^dw s) have valuation ka
             if rem2 > 0 and ka >= prec:
@@ -500,24 +477,12 @@ def _cloud(plan, xs, dim, ctx, tag, out):
                     out.append((tuple(row), tg))
 
 
-def _denom_val(D: TreeDatum, p: int) -> int:
-    """v_p of the lcm of all bone-length denominators, recursively."""
-    e = 1
-    for ln in D.skeleton.lengths:
-        if ln is not INFINITY:
-            e = lcm(e, ln.integral()[2])
-    for br, _ in D.side_data():
-        for side in br.leaf_data:
-            if side is not TERMINAL:
-                e = lcm(e, p ** _denom_val(side, p))
-    return pval(p, e)
-
-
 def realize(D: TreeDatum, depth_cap: int, p: int) -> WitnessCloud:
     """A witness cloud whose tree matches expand(D, (), p, depth_cap).
 
-    The datum must be unparametrized, of level at most 2, and leafless;
-    these refusals come before validate's checks.
+    The depth must be >= 0, the datum unparametrized and of level at most
+    2, p prime, and the datum leafless; these refusals come in this order,
+    before validate's checks.
     """
     if depth_cap < 0:
         raise DomainError(f"realize needs a depth >= 0, not {depth_cap}")
@@ -525,14 +490,15 @@ def realize(D: TreeDatum, depth_cap: int, p: int) -> WitnessCloud:
         raise NotRealizable("only unparametrized data are realized")
     if D.level > 2:
         raise LevelCap(f"level-{D.level} datum; realization stops at level 2")
-    _check_leafless(D)
+    # the width loop of _check_and_size ends only for p >= 2
     if not _is_prime(p):
         raise DomainError(f"realize needs a prime, not p = {p}")
-    ctx = RealizationContext(p, depth_cap + 2 * _denom_val(D, p) + 6)
+    need, e = _check_and_size(D, p)
+    ctx = RealizationContext(p, depth_cap + 2 * pval(p, e) + 6)
     issues = validate(D)
     if issues:
         raise InvalidDatum("; ".join(issues))
-    N = 1 + _ydim(D, ctx.p)
+    N = 1 + need
     out = []
     if D.skeleton.num_joints:
         # the plan memo lives for this call only

@@ -136,3 +136,60 @@ def sample_data(seed: int, count: int, p: int, depth_cap: int, max_nodes=60000):
             continue
         out.append(D)
     return out
+
+
+def _random_fintree(rng, level, m, domain):
+    """A side branch of up to four nodes; each leaf stops or, at level >= 1,
+    may carry a side tree."""
+    parents = (-1,) + tuple(rng.randint(0, i - 1) for i in range(1, rng.randint(1, 4)))
+    n_leaves = sum(1 for i in range(len(parents)) if i not in parents)
+    sides = tuple(
+        _random_side(rng, level, m, domain) if level and rng.random() < 0.5 else TERMINAL
+        for _ in range(n_leaves)
+    )
+    return SideBranchDatum(parents, sides)
+
+
+def random_branching_datum(rng: random.Random, max_joints=7) -> TreeDatum:
+    """A valid datum with m = 0 and level 0 or 1 on a branching skeleton.
+
+    Joints are numbered parents first but mostly not in preorder; a leaf
+    joint ends a finite or an infinite bone; every real joint and every
+    bone interior carry random side branches, which may end.
+    """
+    level = rng.randint(0, 1)
+    n = rng.randint(2, max_joints)
+    parents = [-1] + [rng.randint(0, i - 1) for i in range(1, n)]
+    lengths = tuple(
+        INFINITY if j not in parents and rng.random() < 0.5
+        else const_fn(rng.randint(1, 3), 0)
+        for j in range(1, n)
+    )
+    sk = SkeletonDatum(tuple(parents), lengths)
+    depths = _joint_depths(sk)
+    joint_branches = tuple(
+        (j, _random_fintree(rng, level, 0, whole_quadrant(0)))
+        for j in sk.real_joints()
+    )
+    bone_branches = []
+    for j in range(1, n):
+        lo = depths[parents[j]] + 1
+        hi = INFINITY if depths[j] is None else depths[j] - 1
+        if hi is not INFINITY and hi < lo:
+            continue
+        # a one-depth interior is not split by parity: one half would be empty
+        cells = _strip_cells(rng, lo, hi) if hi is INFINITY or hi > lo else [
+            GammaCell(((const_fn(lo, 0), const_fn(hi, 0)),), ((0, 1),))
+        ]
+        for piece in cells:
+            dom = GammaSet((piece,), 1)
+            bone_branches.append((j, piece, _random_fintree(rng, level, 1, dom)))
+    return TreeDatum(
+        level=level,
+        m=0,
+        domain=whole_quadrant(0),
+        rho=1,
+        skeleton=sk,
+        joint_branches=joint_branches,
+        bone_branches=tuple(bone_branches),
+    )

@@ -344,3 +344,30 @@ def test_cusp_outputs_match_their_golden_digests(tmp_path, capsys):
         got[cmd] = hashlib.md5(out.read_bytes()).hexdigest()
     got["enum.status"] = hashlib.md5((tmp_path / "enum.json.status.json").read_bytes()).hexdigest()
     assert got == _GOLDEN
+
+
+def test_subcommands_refuse_flags_they_do_not_read(files, capsys):
+    # each subcommand declares only the flags it reads
+    refused = [
+        ["realize", files["point.json"], "--p", "3", "--depth", "2", "--format", "text"],
+        ["realize", files["point.json"], "--p", "3", "--depth", "2", "--node-budget", "1"],
+        ["poincare", "--datum", files["point.json"], "--node-budget", "1"],
+        ["poincare", "--datum", files["point.json"], "--format", "dot"],
+        ["iso", files["point.json"], files["point.json"], "--format", "json"],
+        ["iso", files["point.json"], files["point.json"], "--node-budget", "5"],
+        ["dot", files["point.json"], "--format", "json"],
+        ["dot", files["point.json"], "--node-budget", "5"],
+    ]
+    for argv in refused:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage error: unrecognized arguments") or (
+            "invalid choice: 'dot'" in err
+        ), argv
+
+
+def test_expand_keeps_its_node_budget(files, capsys):
+    argv = ["expand", files["point.json"], "--p", "3", "--depth", "2", "--format", "text"]
+    assert run(capsys, *argv, "--node-budget", "3")[:2] == (0, "1 1 1\n")
+    code, _, err = run(capsys, *argv, "--node-budget", "2")
+    assert code == 2 and err == "error: expansion exceeds 2 nodes\n"
