@@ -428,13 +428,16 @@ def _skeleton_table(sk: SkeletonDatum, m: int) -> SkeletonTable:
         free[a] += size[j]
         free[j] = enter[j] + 1
     leave = [enter[j] + size[j] for j in range(n)]
+    # a first child gets its parent (the rest of the subtree comes later); a
+    # later child's scan back stops at its previous sibling at the latest
     i_star = [-1] * n
-    for j in range(1, n):
-        # the scan stops at the parent joint at the latest
-        lo, hi, i = enter[parents[j]], leave[parents[j]], j - 1
-        while not lo <= enter[i] < hi:
-            i -= 1
-        i_star[j] = i
+    for a, kids in enumerate(sk.kids):
+        lo, hi = enter[a], leave[a]
+        for k, j in enumerate(kids):
+            i = j - 1 if k else a
+            while not lo <= enter[i] < hi:
+                i -= 1
+            i_star[j] = i
     return SkeletonTable(tuple(depth_fns), tuple(enter), tuple(leave), tuple(i_star))
 
 

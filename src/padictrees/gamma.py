@@ -12,7 +12,6 @@ is constant modulo the summation period.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +24,7 @@ from .errors import (
     NonIntegralExponent,
     UnboundedBelow,
 )
-from .ratfun import RationalGF, gf_add, gf_const, gf_zero
+from .ratfun import RationalGF, gf_const, gf_sum
 
 
 class _Infinity:
@@ -458,14 +457,14 @@ def cell_gf(M, variables=None) -> RationalGF:
         variables = tuple(f"Y{i + 1}" for i in range(m))
     if len(variables) != m:
         raise DomainError("one variable per coordinate required")
-    return gf_add(gf_zero(variables), *(_one_cell_gf(c, variables) for c in cells))
+    return gf_sum(variables, [_one_cell_gf(c, variables) for c in cells])
 
 
 def _one_cell_gf(c: GammaCell, variables) -> RationalGF:
     m = c.m
     if m == 0:
         return gf_const(variables, 1)
-    init = (Fraction(1), tuple(var(j, m) for j in range(m)), Counter())
+    init = (1, tuple(var(j, m) for j in range(m)), {})
     return _region_sum(c, m - 1, tuple(c.cong), [init], variables)
 
 
@@ -490,7 +489,8 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
                     raise DomainError("negative exponent: set leaves Gamma_{>=0}")
                 mono.append(int(e.const))
             monos.append(RationalGF.make(variables, {tuple(mono): coef}, den))
-        return gf_add(gf_zero(variables), *monos)
+        # a lone monomial over its factors is already normal
+        return gf_sum(variables, monos)
 
     lo_fn, hi_fn = c.bounds[k]
     finite = hi_fn is not INFINITY
@@ -506,20 +506,16 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
         new_mod = [cong[i][1] for i in range(m)]
         for f in bound_fns:
             for i, ci in enumerate(f.coeffs):
-                if ci == 0:
-                    continue
-                u, w = ci.numerator, ci.denominator
-                need = (rho2 * w) // gcd(abs(u), rho2 * w)
-                new_mod[i] = lcm(new_mod[i], need)
-        splits = []
-        for i in range(k):
-            r_i, rho_i = cong[i]
-            splits.append([r_i + t * rho_i for t in range(new_mod[i] // rho_i)])
+                if ci:
+                    w = rho2 * ci.denominator
+                    new_mod[i] = lcm(new_mod[i], w // gcd(ci.numerator, w))
+        splits = [
+            [r_i + t * rho_i for t in range(new_mod[i] // rho_i)]
+            for i, (r_i, rho_i) in enumerate(cong[:k])
+        ]
 
         for choice in iproduct(*splits) if splits else [()]:
-            cong2 = tuple(
-                (choice[i], new_mod[i]) if i < k else cong[i] for i in range(m)
-            )
+            cong2 = tuple(zip(choice, new_mod)) + cong[k:]
             rep = list(choice)
             a_val = lo_fn.value(rep)
             if a_val.denominator != 1:
@@ -541,10 +537,7 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
 
             pos = all(a >= 0 for a in alpha)
             neg = all(a <= 0 for a in alpha)
-            mixed = not pos and not neg
-            allzero = all(a == 0 for a in alpha)
-
-            if mixed or allzero:
+            if pos == neg:  # mixed signs, or all zero
                 # fall back to explicit enumeration; needs a constant range
                 if not const_len:
                     raise DomainError(
@@ -562,8 +555,7 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
 
             sgn = 1 if pos else -1
             fexp = tuple(int(sgn * a * rho2) for a in alpha)
-            den2 = Counter(den)
-            den2[(1, fexp)] += 1
+            den2 = {**den, (1, fexp): den.get((1, fexp), 0) + 1}
             if pos:
                 hi_form = last + rho2 if finite else None
                 lo_form = first
@@ -578,4 +570,4 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
             if hi_form is not None:
                 children.append((-coef, _subst(exps, k, hi_form), den2))
             parts.append(_region_sum(c, k - 1, cong2, children, variables))
-    return gf_add(gf_zero(variables), *parts)
+    return gf_sum(variables, parts)

@@ -14,9 +14,7 @@ with the call.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -36,9 +34,8 @@ from .gamma import (
 from .ratfun import (
     RationalGF,
     expand_series,
-    gf_add,
     gf_mul,
-    gf_zero,
+    gf_sum,
     substitute,
 )
 from .trees import TruncTree
@@ -57,16 +54,14 @@ def _vars(m: int) -> tuple[str, ...]:
 def _lift_z(f: RationalGF, variables) -> RationalGF:
     """Reinterpret a GF in Y1..Ym as one in (Z, Y1..Ym) with Z-degree 0."""
     num = {(0,) + mono: c for mono, c in f.numerator}
-    den = Counter({(c, (0,) + e): mult for (c, e), mult in f.denominator})
+    den = {(c, (0,) + e): mult for (c, e), mult in f.denominator}
     return RationalGF.make(variables, num, den)
 
 
 def _rename(f: RationalGF, variables) -> RationalGF:
     if len(variables) != len(f.variables):
         raise DomainError("positional rename needs equal arity")
-    return RationalGF.make(
-        variables, dict(f.numerator), Counter(dict(f.denominator))
-    )
+    return RationalGF.make(variables, dict(f.numerator), dict(f.denominator))
 
 
 def _merge_bound(b1, b2, what):
@@ -165,7 +160,7 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int, memo: dict) -> RationalGF:
         g = _branch_gf(br, GammaSet(tuple(cells), m_tot + 1), p, memo)
         g = substitute(g, f"Y{D.m + 1}", 1, {"Z": 1})
         parts.append(_rename(g, variables))
-    memo[key] = total = gf_add(gf_zero(variables), *parts)
+    memo[key] = total = gf_sum(variables, parts)
     return total
 
 
@@ -181,15 +176,15 @@ def _branch_gf(br, dom: GammaSet, p: int, memo: dict) -> RationalGF:
     for u in range(len(br.parents)):
         w = weights.setdefault(leaf_map.get(u, TERMINAL), {})
         z = (br.depths[u],) + (0,) * dom.m
-        w[z] = w.get(z, Fraction(0)) + 1
+        w[z] = w.get(z, 0) + 1
     parts = []
     for side, w in weights.items():
         # a side leaf itself is depth 0 of the attached T(Z_p) x side tree
         g = base if side is TERMINAL else substitute(
             _datum_gf(side, dom, p, memo), "Z", p, {"Z": 1}
         )
-        parts.append(gf_mul(g, RationalGF.make(variables, w, Counter())))
-    return gf_add(gf_zero(variables), *parts)
+        parts.append(gf_mul(g, RationalGF.make(variables, w, {})))
+    return gf_sum(variables, parts)
 
 
 @dataclass(frozen=True)

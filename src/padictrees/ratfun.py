@@ -4,6 +4,10 @@ A RationalGF is a sparse polynomial numerator divided by a multiset of
 factors (1 - c * monomial) with positive integer c and nonconstant monomial.
 Denominators are never expanded; equality is decided by cross-multiplied
 polynomial identity, so all arithmetic stays exact.
+
+Every factor has constant term 1, so numerator coefficients stay ints
+unless a non-integer enters (gf_const, gf_monomial, from_json or a caller's
+own coefficient); that one is a Fraction.
 """
 
 from __future__ import annotations
@@ -15,22 +19,20 @@ from fractions import Fraction
 from .errors import DomainError
 
 Mono = tuple[int, ...]
-Poly = dict[Mono, Fraction]  # exponent vector -> coefficient
+Poly = dict[Mono, int | Fraction]  # exponent vector -> coefficient
 Factor = tuple[int, Mono]  # (c, e) stands for 1 - c * X^e
 
 
-def _poly_iadd(out: Poly, terms) -> None:
-    """Add the (monomial, coefficient) pairs of terms into out in place."""
+def _poly_iadd(out: dict, terms) -> None:
+    """Add the (monomial, coefficient) pairs of terms into out in place; the
+    (factor, multiplicity) pairs of a denominator add the same way."""
     for m, c in terms:
-        s = out.get(m, Fraction(0)) + c
+        s = out.get(m, 0) + c
         if s:
             out[m] = s
         elif m in out:
             del out[m]
 
-
-def poly_neg(a: Poly) -> Poly:
-    return {m: -c for m, c in a.items()}
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
@@ -46,22 +48,19 @@ def factor_poly(f: Factor, nvars: int) -> Poly:
     zero = (0,) * nvars
     if e == zero:
         raise DomainError("constant denominator factor")
-    return {zero: Fraction(1), e: Fraction(-c)} if c else {zero: Fraction(1)}
+    return {zero: 1, e: -c} if c else {zero: 1}
 
 
-def poly_div_exact(num: Poly, f: Factor, nvars: int) -> Poly | None:
+def poly_div_exact(num: Poly, f: Factor) -> Poly | None:
     """num / (1 - c X^e) if the division is exact, else None."""
     c, e = f
-    maxdeg = [0] * nvars
-    for m in num:
-        for i, x in enumerate(m):
-            maxdeg[i] = max(maxdeg[i], x)
+    maxdeg = [max(xs) for xs in zip(*num)]
     q: Poly = {}
     r = dict(num)
     while r:
         m = min(r)  # lex-minimal term; divisor has constant term 1
         coef = r.pop(m)
-        q[m] = q.get(m, Fraction(0)) + coef
+        q[m] = coef  # each step's least term exceeds the last
         m2 = tuple(x + y for x, y in zip(m, e))
         if any(x > d for x, d in zip(m2, maxdeg)):
             # quotient degree bound exceeded: not divisible
@@ -74,11 +73,11 @@ def poly_div_exact(num: Poly, f: Factor, nvars: int) -> Poly | None:
 @dataclass(frozen=True)
 class RationalGF:
     variables: tuple[str, ...]
-    numerator: tuple[tuple[Mono, Fraction], ...]
+    numerator: tuple[tuple[Mono, int | Fraction], ...]
     denominator: tuple[tuple[Factor, int], ...]  # factor -> multiplicity
 
     @staticmethod
-    def make(variables, num: Poly, den: Counter) -> "RationalGF":
+    def make(variables, num: Poly, den: dict[Factor, int]) -> "RationalGF":
         for (c, e), mult in den.items():
             if c < 1 or mult < 1:
                 raise DomainError("denominator factor must be 1 - c*mono, c >= 1")
@@ -131,11 +130,9 @@ class RationalGF:
     @staticmethod
     def from_json(data: dict) -> "RationalGF":
         num = {
-            tuple(t["e"]): Fraction(t["c"]) for t in data["numerator"]
+            tuple(t["e"]): _coef(t["c"]) for t in data["numerator"]
         }
-        den = Counter(
-            {(int(t["c"]), tuple(t["e"])): int(t["mult"]) for t in data["denominator"]}
-        )
+        den = {(int(t["c"]), tuple(t["e"])): int(t["mult"]) for t in data["denominator"]}
         return RationalGF.make(tuple(data["variables"]), num, den)
 
 
@@ -167,25 +164,27 @@ def _poly_str(p: Poly, variables) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def _coef(value) -> int | Fraction:
+    """value as an exact coefficient: an int when it is integral."""
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 def gf_zero(variables) -> RationalGF:
-    return RationalGF.make(variables, {}, Counter())
+    return RationalGF.make(variables, {}, {})
 
 
 def gf_const(variables, value) -> RationalGF:
-    nv = len(variables)
-    value = Fraction(value)
-    num = {(0,) * nv: value} if value else {}
-    return RationalGF.make(variables, num, Counter())
+    return gf_monomial(variables, (0,) * len(variables), value)
 
 
 def gf_monomial(variables, expvec, coef=1) -> RationalGF:
-    return RationalGF.make(variables, {tuple(expvec): Fraction(coef)}, Counter())
+    return RationalGF.make(variables, {tuple(expvec): _coef(coef)}, {})
 
 
 def gf_geometric(variables, factor: Factor) -> RationalGF:
     """1 / (1 - c X^e)."""
-    nv = len(variables)
-    return RationalGF.make(variables, {(0,) * nv: Fraction(1)}, Counter([factor]))
+    return RationalGF.make(variables, {(0,) * len(variables): 1}, {factor: 1})
 
 
 def _times(num: Poly, factors, nvars: int) -> Poly:
@@ -209,18 +208,29 @@ def gf_add(f: RationalGF, *more: RationalGF) -> RationalGF:
     for g in (f, *more):
         _check_vars(f, g)
         _poly_iadd(groups.setdefault(g.denominator, {}), g.numerator)
-    common = Counter()
+    common: dict = {}
     for den in groups:
-        common |= Counter(dict(den))
+        for key, mult in den:
+            common[key] = max(mult, common.get(key, 0))
     num: Poly = {}
     for den, part in groups.items():
-        missing = common - Counter(dict(den))
-        _poly_iadd(num, _times(part, missing.items(), f.nvars()).items())
+        have = dict(den)
+        missing = [(key, mult - have.get(key, 0)) for key, mult in common.items()]
+        _poly_iadd(num, _times(part, missing, f.nvars()).items())
     return gf_normalize(RationalGF.make(f.variables, num, common))
 
 
+def gf_sum(variables, parts) -> RationalGF:
+    """gf_add of a list of normalised GFs in the variables, 0 when empty.  A
+    lone part is its own normal form and comes back as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return gf_add(gf_zero(variables), *parts)
+
+
 def gf_neg(f: RationalGF) -> RationalGF:
-    return RationalGF.make(f.variables, poly_neg(f.num_poly()), f.den_counter())
+    num = {m: -c for m, c in f.numerator}
+    return RationalGF.make(f.variables, num, dict(f.denominator))
 
 
 def gf_sub(f: RationalGF, g: RationalGF) -> RationalGF:
@@ -230,9 +240,9 @@ def gf_sub(f: RationalGF, g: RationalGF) -> RationalGF:
 def gf_mul(f: RationalGF, g: RationalGF) -> RationalGF:
     _check_vars(f, g)
     num = poly_mul(f.num_poly(), g.num_poly())
-    return gf_normalize(
-        RationalGF.make(f.variables, num, f.den_counter() + g.den_counter())
-    )
+    den = dict(f.denominator)
+    _poly_iadd(den, g.denominator)
+    return gf_normalize(RationalGF.make(f.variables, num, den))
 
 
 def gf_equal(f: RationalGF, g: RationalGF) -> bool:
@@ -243,26 +253,23 @@ def gf_equal(f: RationalGF, g: RationalGF) -> bool:
 
 
 def gf_normalize(f: RationalGF) -> RationalGF:
-    """Cancel denominator factors that divide the numerator exactly."""
-    num = f.num_poly()
-    den = f.den_counter()
-    nv = f.nvars()
-    if not num:
-        return RationalGF.make(f.variables, {}, Counter())
-    changed = True
+    """Cancel denominator factors that divide the numerator exactly, in
+    sorted order until none divides; with none to cancel, f itself."""
+    if not f.numerator:
+        return gf_zero(f.variables)
+    num, den = f.num_poly(), dict(f.denominator)
+    cancelled, changed = False, True
     while changed:
         changed = False
         for key in list(den):
-            if den[key] == 0:
-                continue
-            q = poly_div_exact(num, key, nv)
+            q = poly_div_exact(num, key)
             if q is not None:
                 num = q
                 den[key] -= 1
-                if den[key] == 0:
+                if not den[key]:
                     del den[key]
-                changed = True
-    return RationalGF.make(f.variables, num, den)
+                cancelled = changed = True
+    return RationalGF.make(f.variables, num, den) if cancelled else f
 
 
 def substitute(f: RationalGF, var: str, coef: int, target: dict[str, int]) -> RationalGF:
@@ -283,9 +290,7 @@ def substitute(f: RationalGF, var: str, coef: int, target: dict[str, int]) -> Ra
 
     def map_mono(m: Mono) -> tuple[Mono, int]:
         t = m[vidx]
-        base = list(m) if keep else [x for i, x in enumerate(m) if i != vidx]
-        if keep:
-            base[vidx] = 0
+        base = [0 if i == vidx else x for i, x in enumerate(m) if keep or i != vidx]
         for i, x in tidx.items():
             base[i] += t * x
         return tuple(base), t
@@ -294,22 +299,23 @@ def substitute(f: RationalGF, var: str, coef: int, target: dict[str, int]) -> Ra
     for m, c in f.numerator:
         m2, t = map_mono(m)
         _poly_iadd(num, ((m2, c * coef**t),))
-    den = Counter()
+    den: dict = {}
     for (c, e), mult in f.denominator:
         e2, t = map_mono(e)
         if all(x == 0 for x in e2):
             raise DomainError("substitution makes a denominator factor constant")
-        den[(c * coef**t, e2)] += mult
+        _poly_iadd(den, (((c * coef**t, e2), mult),))
     return gf_normalize(RationalGF.make(new_vars, num, den))
 
 
-def expand_series(f: RationalGF, k: int) -> list[Fraction]:
-    """Coefficients c_0..c_k of the univariate expansion (exact rationals)."""
+def expand_series(f: RationalGF, k: int) -> list[int | Fraction]:
+    """Coefficients c_0..c_k of the univariate expansion, exact: ints unless
+    the numerator has a non-integer coefficient."""
     if f.nvars() != 1:
         raise DomainError("expand_series needs a univariate GF")
     if k < 0:
         raise DomainError(f"series order must be >= 0, not {k}")
-    coeffs = [Fraction(0)] * (k + 1)
+    coeffs = [0] * (k + 1)
     for (e,), c in f.numerator:
         if e <= k:
             coeffs[e] += c

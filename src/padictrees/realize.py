@@ -300,12 +300,14 @@ class WitnessCloud:
             return WitnessCloud.from_json(json.load(fh))
 
 
-def _check_and_size(D: TreeDatum, p: int):
+def _check_and_size(D: TreeDatum, p: int, _memo=None):
     """Refuse data whose expansions stop: a side branch ending above its
     attachment point or a dead-end real joint produce tree leaves.  Else
     return the coordinates needed behind the reserved one (skeleton slots,
     branch embedding widths, and one extra per recursion level) and the lcm
-    of all bone-length denominators, side data included."""
+    of all bone-length denominators, side data included.  Each distinct
+    side datum is checked once per call."""
+    _memo = {} if _memo is None else _memo
     kids = D.skeleton.kids
     for j in D.skeleton.real_joints():
         if not kids[j] and all(s is TERMINAL for s in D.joint_branch(j).leaf_data):
@@ -325,8 +327,9 @@ def _check_and_size(D: TreeDatum, p: int):
             elif dw == 0:
                 raise NotRealizable("a side tree is attached at depth 0")
             else:
-                side_need, side_e = _check_and_size(side, p)
+                side_need, side_e = _memo.get(side) or _check_and_size(side, p, _memo)
                 need, e = max(need, 1 + side_need), lcm(e, side_e)
+    _memo[D] = need, e
     return need, e
 
 

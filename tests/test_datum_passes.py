@@ -3,6 +3,7 @@ one loop over its joints; the trees they build are the ones recorded while
 expand still recursed joint by joint."""
 
 import hashlib
+import importlib
 import json
 import random
 
@@ -14,15 +15,19 @@ from padictrees.datum import (
     SideBranchDatum,
     SkeletonDatum,
     TreeDatum,
+    _whole_strip,
     builtin,
     cusp_datum,
     expand,
+    star_branch,
     terminal_branch,
     zpn_datum,
 )
 from padictrees.errors import DomainError, NodeBudgetExceeded, NotLeafless
-from padictrees.gamma import const_fn, whole_quadrant
+from padictrees.gamma import INFINITY, const_fn, whole_quadrant
 from padictrees.realize import realize
+
+realize_module = importlib.import_module("padictrees.realize")
 
 # sha256 of json.dumps(expand(D, (), p, cap).to_json()), recorded while
 # expand still recursed joint by joint
@@ -129,3 +134,92 @@ def test_realize_reports_the_prime_before_the_leaves():
         realize(dead_end, 3, p=3)
     with pytest.raises(DomainError, match="p = 4"):
         realize(dead_end, 3, p=4)
+
+
+def _scanned_i_star(D):
+    """i_star by a backward scan from j - 1 to the first joint in the
+    subtree of j's parent."""
+    table, parents = D.skeleton_table, D.skeleton.parents
+    out = [-1]
+    for j in range(1, D.skeleton.num_joints):
+        i = j - 1
+        while not table.is_ancestor(parents[j], i):
+            i -= 1
+        out.append(i)
+    return tuple(out)
+
+
+def test_i_star_is_the_backward_scan():
+    from test_datum import chain_datum
+
+    rng = random.Random(2024)
+    family = [random_branching_datum(rng) for _ in range(100)]
+    # a star of k joints numbered breadth first, each with one child: every
+    # grandchild's parent sits k joints back
+    k = 40
+    star = TreeDatum(
+        level=0, m=0, domain=whole_quadrant(0), rho=1,
+        skeleton=SkeletonDatum(
+            (-1,) + (0,) * k + tuple(range(1, k + 1)),
+            (const_fn(1, 0),) * k + (INFINITY,) * k,
+        ),
+        joint_branches=tuple((j, terminal_branch()) for j in range(k + 1)),
+        bone_branches=(),
+    )
+    for D in [chain_datum(300), star] + family:
+        assert D.skeleton_table.i_star == _scanned_i_star(D)
+    assert star.skeleton_table.i_star[k + 1:] == tuple(range(1, k + 1))
+
+
+def _dead_end_datum():
+    return TreeDatum(
+        level=0, m=0, domain=whole_quadrant(0), rho=1,
+        skeleton=SkeletonDatum((-1, 0), (const_fn(1, 0),)),
+        joint_branches=((0, terminal_branch()), (1, terminal_branch())),
+        bone_branches=(),
+    )
+
+
+def _leafy_datum():
+    # a side branch that stops at depth 1
+    return TreeDatum(
+        level=0, m=0, domain=whole_quadrant(0), rho=1,
+        skeleton=SkeletonDatum((-1, 0), (INFINITY,)),
+        joint_branches=((0, star_branch(1, TERMINAL)),),
+        bone_branches=((1, _whole_strip(whole_quadrant(0)), terminal_branch()),),
+    )
+
+
+def _carrying(*sides):
+    """A level-1 path whose root grows one leaf per side datum."""
+    return TreeDatum(
+        level=1, m=0, domain=whole_quadrant(0), rho=1,
+        skeleton=SkeletonDatum((-1, 0), (INFINITY,)),
+        joint_branches=((0, SideBranchDatum((-1,) + (0,) * len(sides), sides)),),
+        bone_branches=((1, _whole_strip(whole_quadrant(0)), terminal_branch()),),
+    )
+
+
+def test_check_and_size_checks_each_side_datum_once(monkeypatch):
+    calls = []
+    checked = realize_module._check_and_size
+
+    def counted(D, p, _memo=None):
+        calls.append(D)
+        return checked(D, p, _memo)
+
+    monkeypatch.setattr(realize_module, "_check_and_size", counted)
+    # zpn(2, 7) carries its side data on 48 leaves per branch
+    assert realize_module._check_and_size(zpn_datum(2, 7), 7) == (3, 1)
+    assert len(calls) == len(set(calls)) == 6
+    # the first refusal met in leaf order is the one raised, however often
+    # its side datum recurs
+    dead, leafy = _dead_end_datum(), _leafy_datum()
+    for sides, want in [
+        ((dead, dead, leafy), "joint 1 is a dead end"),
+        ((leafy, dead, leafy, dead), "a side branch ends at depth 1"),
+    ]:
+        with pytest.raises(NotLeafless, match=f"^{want}$"):
+            realize_module._check_and_size(_carrying(*sides), 3)
+        with pytest.raises(NotLeafless, match=f"^{want}$"):
+            realize(_carrying(*sides), 3, p=3)

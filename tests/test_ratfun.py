@@ -135,3 +135,46 @@ def test_str_rendering():
     assert str(geo()) == "(1) / (1 - Z)"
     assert str(gf_zero(Z)) == "0"
     assert str(geo(3)) == "(1) / (1 - 3*Z)"
+
+
+def _kinds(f):
+    return [type(c) for _, c in f.numerator]
+
+
+def test_integer_sums_keep_int_coefficients():
+    from padictrees.datum import cusp_datum
+    from padictrees.poincare import datum_poincare
+
+    f = datum_poincare(cusp_datum(3), 3)
+    assert _kinds(f) == [int] * 5
+    assert all(type(c) is int for c in expand_series(f, 6))
+    g = gf_add(geo(), gf_mul(gf_monomial(Z, (1,), 2), geo(3)))
+    assert set(_kinds(g)) == {int}
+    back = RationalGF.from_json(g.to_json())
+    assert back == g and _kinds(back) == _kinds(g)
+
+
+def test_non_integer_coefficients_stay_exact():
+    half = gf_const(Z, Fraction(1, 2))
+    g = RationalGF.from_json({
+        "format": 1,
+        "variables": ["Z"],
+        "numerator": [{"e": [0], "c": "1/2"}, {"e": [1], "c": "-1/2"}],
+        "denominator": [{"c": 1, "e": [2], "mult": 1}],
+    })
+    # the strings below were printed while every coefficient was a Fraction
+    assert str(half) == "1/2"
+    assert str(g) == "(1/2 - 1/2*Z) / (1 - Z^2)"
+    assert str(gf_normalize(g)) == "(1/2 - 1/2*Z) / (1 - Z^2)"
+    assert str(gf_add(half, g)) == "(1 - 1/2*Z - 1/2*Z^2) / (1 - Z^2)"
+    assert str(gf_add(half, half)) == "1"
+    assert str(gf_mul(g, geo())) == "(1/2) / (1 - Z^2)"
+    assert str(gf_mul(half, geo())) == "(1/2) / (1 - Z)"
+    assert str(substitute(g, "Z", 3, {"Z": 1})) == "(1/2 - 3/2*Z) / (1 - 9*Z^2)"
+    assert gf_sub(g, g).is_zero()
+    assert str(gf_monomial(("Z", "Y"), (1, 2), "-3/4")) == "-3/4*Z*Y^2"
+    assert expand_series(g, 5) == [Fraction((-1) ** k, 2) for k in range(6)]
+    half_even = [Fraction(1 - k % 2, 2) for k in range(5)]
+    assert expand_series(gf_mul(g, geo()), 4) == half_even
+    assert g.to_json()["numerator"] == [{"e": [0], "c": "1/2"}, {"e": [1], "c": "-1/2"}]
+    assert RationalGF.from_json(g.to_json()) == g
