@@ -138,8 +138,8 @@ def _status_tail(st, certs: list) -> str:
         cert["point"] = [str(q) for q in st.certificate]
     elif st.kind != "exact":
         cert["cols"] = list(st.certificate.cols)
+        cert["margin"] = st.certificate.margin
         if st.kind == "newton":
-            cert["margin"] = st.certificate.margin
             cert["lift_depth"] = st.certificate.depth
     certs.append(cert)
     return f'"yes", "kind": "{st.kind}", "certificate": {len(certs) - 1}}}'

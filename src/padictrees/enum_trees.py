@@ -5,7 +5,7 @@ level.  lifted_tree keeps only classes that contain genuine Z_p-points;
 membership in the image of the projection is undecidable in general, so
 statuses are three-valued.  Yes needs a certificate: a declared rational
 point, a Newton certificate or an exact representative at the class or a
-descendant, or a unit Jacobian minor (Hensel).  No needs the congruence
+descendant, or a covering class (Hensel).  No needs the congruence
 solutions below the class to die out at a finite depth, Unknown carries
 the exhausted budget.
 
@@ -23,13 +23,22 @@ naive_tree's expand callback:
 - A class decided No is not expanded: the classes below it are never
   listed.  Each of them has that No, since a subclass of a class without
   Z_p-points has none, and the status map answers it on demand.
-- A class at depth >= 1 whose Jacobian has a k x k minor that is a unit
-  mod p lifts, with its whole naive subtree, by Hensel's lemma.  Its naive
-  descendants get its Yes without a search.  The Jacobian mod p depends on
-  the residue mod p only, so this is decided once per depth-1 class.
+- A class a + p^d Z_p^n (d >= 1) whose least k x k Jacobian minor
+  valuation e at a is at most d - 1 is covering: the valuative Hensel
+  cover, weak smoothness applied class by class.  On it det M has
+  valuation e and J = J(a) mod p^e.  Since f(x + p^d' t) = f(x) + p^d'
+  J(x) t mod p^(2d'), a naive class x + p^d' Z_p^n in it (d' >= d) has a
+  point mod p^(d' + m), m <= e, iff f(x) / p^d' mod p^m lies in the image
+  of J(a) mod p^m; at m = e such a point y has v(f(y)) > 2e, and Newton's
+  lemma lifts it.  So one lookup in an image table, shared by the classes
+  with the same Jacobian mod p^e, decides each class: the covering
+  class's Yes, or No at the first depth d' + m that misses the image.
+  Covered classes are neither searched nor certified; at e = 0 all are
+  Yes.
 - Every other class is resolved by a search that reads the class's shifted
   system g(t) = f(label + p^depth t), carried down one digit step at a
-  time: a child with digit vector d has g(d + p t).
+  time: a child with digit vector d has g(d + p t).  The search decides a
+  covering class it reaches by the cover, and runs on an explicit stack.
 
 The extension-existence test behind No is exact: it recurses on digits of
 the carried system and memoises on the reduced coefficients, so digits
@@ -43,11 +52,11 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from operator import add
+from operator import add, mul
 
 from .errors import DomainError, NodeBudgetExceeded
 from .padic import Certified, newton_certify, pval, vec
-from .polysys import PolySystem, shift_scale
+from .polysys import PolySystem, _int_det, shift_scale
 from .trees import Ball, Cheese, TruncTree, cheese_restrict, empty_tree, restrict
 
 __all__ = [
@@ -69,14 +78,18 @@ class Yes:
 
     The certificate was made for the class (depth, label): the class itself,
     a descendant whose Yes an ancestor inherits, or for kind "hensel" the
-    depth-1 class whose unit minor covers the subtree.  By kind:
+    covering class above, whose image table decides its naive subtree.  By
+    kind:
 
     - "witness": certificate is the declared rational point;
     - "newton": a padic.Certified from newton_certify, naming its minor;
     - "exact": a Certified with cols None, whose class representative
       solves the system;
-    - "hensel": Certified(0, 1, cols), the minor on cols is a unit at the
-      class, hence at every naive class below it.
+    - "hensel": Certified(e, depth, cols), the minor on cols has the least
+      valuation e, its margin, at the covering class, which lies at depth
+      >= e + 1; every naive class below it whose f(label) / p^depth' mod
+      p^e lies in the image of the Jacobian mod p^e shares this Yes, and
+      every other one is No(depth' + m) with m <= e.
     """
 
     certificate: object
@@ -188,7 +201,12 @@ class _Children:
                 table.setdefault(c, []).append(tuple(x * p**depth for x in d))
         return table
 
-    def __call__(self, label, depth):
+    def values(self, label) -> tuple:
+        """f(label), one integer per polynomial."""
+        return tuple([self.sys.eval_poly(i, label) for i in range(len(self.sys.polys))])
+
+    def __call__(self, label, depth, fx=None):
+        """The children of the class; fx is f(label) when the caller has it."""
         sys, p = self.sys, self.sys.p
         if depth == 0:
             return _digit_roots(sys.polys, p, sys.n)
@@ -197,7 +215,7 @@ class _Children:
         if table is None:
             table = self.tables[key] = self._table(*key)
         pl = p**depth
-        c = tuple([sys.eval_poly(i, label) // pl % p for i in range(len(sys.polys))])
+        c = tuple([v // pl % p for v in (self.values(label) if fx is None else fx)])
         return [tuple(map(add, label, off)) for off in table.get(c, ())]
 
 
@@ -209,8 +227,9 @@ def naive_tree(
     absolute residue tuples as labels.
 
     expand(depth, labels, parents), called after each layer is built (with
-    no parents at the root), returns one flag per class of the layer: list
-    its children or not.  The default lists every class.  The node budget
+    no parents at the root), returns one entry per class of the layer: None
+    to leave its children unlisted, else f(label) for the children kernel
+    to read.  The default lists every class.  The node budget
     counts the listed classes; as each class's extensions are read off the
     p^n digit vectors, a system with p^n above the budget is refused first.
     `children` is the _Children kernel to share with the caller (default: a
@@ -232,9 +251,12 @@ def naive_tree(
     for depth in range(depth_cap):
         nxt_par, nxt_lab = [], []
         for idx, lab in enumerate(layer):
-            if keep is not None and not keep[idx]:
-                continue
-            for child in children(lab, depth):
+            fx = None
+            if keep is not None:
+                fx = keep[idx]
+                if fx is None:
+                    continue
+            for child in children(lab, depth, fx):
                 nxt_par.append(idx)
                 nxt_lab.append(child)
         used += len(nxt_par)
@@ -307,6 +329,57 @@ def _alive(state, p: int, n: int, memo: dict, budget: list) -> bool:
     return result
 
 
+class _Image:
+    """The image of an integer k x n matrix J mod p^e, read off a Smith
+    form U J V = diag(s_i) mod p^e, of which only the row operations U are
+    kept.  A vector c lies in the image mod p^m (m <= e) iff every (U c)_i
+    vanishes mod p^min(v(s_i), m), so one product U c gives the least m at
+    which c misses.  No vector of the image is listed.
+    """
+
+    def __init__(self, jac, p, e):
+        self.p, self.e, self.mod, self.rows = p, e, p**e, []
+        a = [[x % self.mod for x in row] for row in jac]
+        u = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+        free = set(range(len(a[0]))) if a else set()
+        for r in range(len(a)):
+            # the pivot has the least valuation left, so it divides every
+            # entry of its column and row; the column operations that would
+            # clear its row change no other row, and are left out
+            v, i, j = min(
+                ((pval(p, a[i][j]), i, j) for i in range(r, len(a)) for j in free if a[i][j]),
+                default=(e, r, None),
+            )
+            a[r], a[i], u[r], u[i] = a[i], a[r], u[i], u[r]
+            self.rows.append((u[r], p**v))
+            if j is None:
+                continue
+            free.discard(j)
+            inv = pow(a[r][j] // p**v, -1, self.mod)
+            for i in range(r + 1, len(a)):
+                f = a[i][j] // p**v * inv
+                a[i] = [(x - f * y) % self.mod for x, y in zip(a[i], a[r])]
+                u[i] = [(x - f * y) % self.mod for x, y in zip(u[i], u[r])]
+
+    def miss(self, fx, depth) -> int:
+        """0 when c = f(x) / p^depth lies in the image mod p^e, else the
+        least m at which c mod p^m misses the image mod p^m."""
+        p, pd, mod = self.p, self.p**depth, self.mod
+        c = [x // pd for x in fx]
+        ws = ((sum(map(mul, row, c)) % mod, q) for row, q in self.rows)
+        return min((pval(p, w) + 1 for w, q in ws if w % q), default=0)
+
+
+class _Cover:
+    """A covering class: the image table of its Jacobian, and the Yes that
+    every class of its naive subtree in the image shares."""
+
+    __slots__ = ("image", "yes")
+
+    def __init__(self, image, yes):
+        self.image, self.yes = image, yes
+
+
 class _Lifter:
     """Shared state for one lifted_tree computation.
 
@@ -333,14 +406,15 @@ class _Lifter:
         self.status: dict = {}
         self.quick: dict = {}
         self.wit_cache: dict = {}
-        self.hensel_cache: dict = {}
+        self.images: dict = {}  # (e, Jacobian mod p^e) -> _Image
+        self.covering: dict = {}  # (depth, label) -> _Cover, for a Yes
         # the listed tree so far, one entry per layer: labels, parents
         # (none at the root) and statuses
         self.labels: list = []
         self.parents: list = []
         self.statuses: list = []
-        # the carried systems of the open classes of the last layer: those
-        # neither No nor covered by Hensel, whose children are searched
+        # per class of the last layer: its carried system when it is
+        # searched, the _Cover it lies in when covered, None below a No
         self.carried: list = []
 
     def root_system(self):
@@ -372,21 +446,26 @@ class _Lifter:
                 return d
         raise DomainError("death depth requested for a live class")
 
-    def hensel(self, label):
-        """The Yes covering a depth >= 1 class with a Jacobian minor that is
-        a unit at its residue mod p, or None.  It names the depth-1 class."""
-        res = tuple(x % self.p for x in label)
-        if res not in self.hensel_cache:
-            k = len(self.sys.polys)
-            cols = next(
-                (c for c in combinations(range(self.sys.n), k)
-                 if self.sys.jacobian_minor(res, c) % self.p),
-                None,
-            )
-            self.hensel_cache[res] = (
-                None if cols is None else Yes(Certified(0, 1, cols), "hensel", 1, res)
-            )
-        return self.hensel_cache[res]
+    def _minor(self, label, depth):
+        """(image table, cols) when the class is covering: the least
+        valuation e of a k x k Jacobian minor at the label, reached on
+        cols, is below the depth.  Else None.  Classes with the same e and
+        the same Jacobian mod p^e share the table."""
+        sys, p, mod = self.sys, self.p, self.p**depth
+        jac = [[sys.partial(i, j, label) % mod for j in range(sys.n)] for i in range(len(sys.polys))]
+        if jac and not any(map(any, jac)):
+            return None  # every minor vanishes mod p^depth
+        dets = (
+            (_int_det([[row[j] for j in cols] for row in jac]) % mod, cols)
+            for cols in combinations(range(sys.n), len(jac))
+        )
+        e, cols = min(((pval(p, d), cols) for d, cols in dets if d), default=(0, None))
+        if cols is None:
+            return None
+        key = (e, tuple(tuple(x % p**e for x in row) for row in jac))
+        if key not in self.images:
+            self.images[key] = _Image(jac, p, e)
+        return self.images[key], cols
 
     def _witness_for(self, label, depth):
         table = self.wit_cache.get(depth)
@@ -401,14 +480,26 @@ class _Lifter:
             self.wit_cache[depth] = table
         return table.get(label)
 
-    def _quick_yes(self, label, depth):
-        """A Yes without a search, or None; memoised with the None, since a
-        cut search is answered again from every class below it."""
+    def _quick(self, label, depth, fx=None):
+        """A status without a search, or None: at a covering class the
+        cover's Yes or No, else a Yes from a witness or a Newton
+        certificate.  fx is f(label) when the caller has it.  Memoised with
+        the None, since a cut search is answered again from every class
+        below it."""
         key = (depth, label)
         if key in self.quick:
             return self.quick[key]
-        st = self.hensel(label) if depth else None
-        if st is None:
+        found = self._minor(label, depth) if depth else None
+        if found is not None:
+            image, cols = found
+            m = image.miss(self.children.values(label) if fx is None else fx, depth)
+            if m:
+                st = No(depth + m)
+            else:
+                st = Yes(Certified(image.e, depth, cols), "hensel", depth, label)
+                self.covering[key] = _Cover(image, st)
+        else:
+            st = None
             w = self._witness_for(label, depth)
             if w is not None:
                 st = Yes(w, "witness", depth, label)
@@ -421,20 +512,37 @@ class _Lifter:
 
     def resolve(self, label, depth, g, budget) -> object:
         """Status of the class, searched through its carried system g;
-        memoised unless the search budget cut it."""
-        key = (depth, label)
-        st = self.status.get(key)
-        if st is None:
-            st, final = self._search(label, depth, g, budget)
-            if final:
-                self.status[key] = st
+        memoised unless the search budget cut it.  The searches run on an
+        explicit stack, one generator per open class, so a long singular
+        spine needs no recursion."""
+        st = self.status.get((depth, label))
+        if st is not None:
+            return st
+        stack = [((depth, label), self._search(label, depth, g, budget))]
+        sent = None
+        while stack:
+            key, search = stack[-1]
+            try:
+                kid, gk = search.send(sent)
+            except StopIteration as done:
+                st, final = done.value
+                if final:
+                    self.status[key] = st
+                stack.pop()
+                sent = st
+            else:
+                stack.append(((key[0] + 1, kid), self._search(kid, key[0] + 1, gk, budget)))
+                sent = None
         return st
 
     def _search(self, label, depth, g, budget):
+        """Generator behind resolve: it yields (kid, carried system) for each
+        child whose status it needs, is sent that status, and returns
+        (status, final)."""
         budget[0] -= 1
         if budget[0] < 0:
             return Unknown(self.search_budget), False
-        st = self._quick_yes(label, depth)
+        st = self._quick(label, depth)
         if st is not None:
             return st, True
         kids = None
@@ -450,7 +558,7 @@ class _Lifter:
         for kid in kids:
             st = self.status.get((depth + 1, kid))
             if st is None:
-                st = self._quick_yes(kid, depth + 1)
+                st = self._quick(kid, depth + 1)
                 if st is not None:
                     self.status[(depth + 1, kid)] = st
             if isinstance(st, Yes):
@@ -461,7 +569,7 @@ class _Lifter:
         for kid in kids:
             st = self.status.get((depth + 1, kid))
             if st is None:
-                st = self.resolve(kid, depth + 1, self.shift(g, kid, label, depth), budget)
+                st = yield kid, self.shift(g, kid, label, depth)
             if isinstance(st, Yes):
                 return st, True
             if isinstance(st, No):
@@ -477,41 +585,46 @@ class _Lifter:
         return Unknown(self.delta), True
 
     def walk(self, depth, labels, parents):
-        """naive_tree's expand callback: the statuses of a listed layer,
-        and whether to list each class's children (not for a No)."""
+        """naive_tree's expand callback: the statuses of a listed layer, and
+        per class None to leave its children unlisted (below a No, or at the
+        cap) or f(label), read once for the cover lookup and the children."""
+        values = self.children.values
         if depth == 0:
             g = self.root_system()
-            layer = [self.resolve(labels[0], 0, g, [self.search_budget])]
-            nxt = [g]
+            layer, nxt = [self.resolve(labels[0], 0, g, [self.search_budget])], [g]
+            fxs = [()]  # the roots mod p are found without f(label)
         else:
-            above, up = self.statuses[-1], self.labels[-1]
-            layer, nxt = [], []
+            layer, nxt, fxs = [], [], []
             for lab, par in zip(labels, parents):
                 g = self.carried[par]
-                if g is None:
-                    # below a depth-1 class covered by Hensel
-                    layer.append(above[par])
-                    nxt.append(None)
-                    continue
-                st = self.hensel(lab) if depth == 1 else None
-                if st is not None:
-                    g = None
+                if type(g) is _Cover:
+                    # below a covering class: one lookup, none at margin 0
+                    fx = values(lab) if g.image.e else None
+                    m = g.image.miss(fx, depth) if fx else 0
+                    st = No(depth + m) if m else g.yes
                 else:
-                    st = self.status.get((depth, lab))
-                    if not isinstance(st, No):
-                        g = self.shift(g, lab, up[par], depth - 1)
-                    if st is None:
-                        st = self.resolve(lab, depth, g, [self.search_budget])
+                    key, fx = (depth, lab), values(lab)
+                    st = self.status.get(key) or self._quick(lab, depth, fx)
+                    up, g = g, self.covering.get(key)
+                    if g is None and not isinstance(st, No):
+                        g = self.shift(up, lab, self.labels[-1][par], depth - 1)
+                        if st is None:
+                            st = self.resolve(lab, depth, g, [self.search_budget])
+                    if isinstance(st, Yes):
+                        self._propagate(st, depth - 1, par)
                 layer.append(st)
                 nxt.append(g)
-                if isinstance(st, Yes):
-                    self._propagate(st, depth - 1, par)
+                fxs.append(fx)
         self.labels.append(labels)
         self.parents.append(parents)
         self.statuses.append(layer)
-        keep = [not isinstance(st, No) for st in layer]
-        self.carried = [g if k else None for g, k in zip(nxt, keep)]
-        return keep
+        self.carried = [None if isinstance(st, No) else g for g, st in zip(nxt, layer)]
+        if depth == self.cap:
+            return [None] * len(labels)
+        return [
+            None if g is None else values(lab) if fx is None else fx
+            for lab, g, fx in zip(labels, self.carried, fxs)
+        ]
 
     def _propagate(self, st, depth, j):
         """A Yes class makes its ancestors Yes, also where a search was
@@ -629,12 +742,12 @@ def lifted_tree(
     the root and the children of classes that are not No are listed;
     node_budget bounds the listed classes.  The status map stores the
     listed classes (its `listed` dict) and answers a class below a No with
-    that No on demand.  Classes below a depth-1 class with a unit Jacobian
-    minor get its Hensel Yes, and every other class is resolved by a
+    that No on demand.  A covering class and the classes below it are
+    decided by the cover's lookup, and every other class is resolved by a
     search.  Yes comes from a declared witness, a Newton certificate or an
-    exact representative at the class or a descendant, or Hensel; No from
-    exact exhaustion of the congruence tree; the rest is Unknown with the
-    budget recorded.  Each search has its own budget of `search_budget`
+    exact representative at the class or a descendant, or the cover; No
+    from exact exhaustion of the congruence tree, by search or by the
+    cover's count; the rest is Unknown with the budget recorded.  Each search has its own budget of `search_budget`
     classes, so a cut search is answered but not memoised; a Yes found
     later below a cut class still makes it Yes.
     """

@@ -81,7 +81,10 @@ class RationalGF:
         for (c, e), mult in den.items():
             if c < 1 or mult < 1:
                 raise DomainError("denominator factor must be 1 - c*mono, c >= 1")
-            if all(x == 0 for x in e):
+            if min(e, default=0) < 0:
+                mono = _mono_str(c, e, variables)
+                raise DomainError(f"denominator factor (1 - {mono}) has a negative exponent")
+            if not any(e):
                 raise DomainError("constant denominator factor")
         return RationalGF(
             tuple(variables),
@@ -141,7 +144,7 @@ def _mono_str(c: int, e: Mono, variables) -> str:
     for v, x in zip(variables, e):
         if x == 1:
             parts.append(v)
-        elif x > 1:
+        elif x:
             parts.append(f"{v}^{x}")
     return "*".join(parts) if parts else str(c)
 

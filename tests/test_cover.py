@@ -3,15 +3,16 @@ and a deep singular spine."""
 
 import hashlib
 import json
+import random
 import runpy
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from padictrees.enum_trees import No, Unknown, Yes, lifted_tree
+from padictrees.cli import main
+from padictrees.enum_trees import No, Unknown, Yes, _Image, lifted_tree
+from padictrees.padic import pval
 from padictrees.polysys import PolySystem, cusp_system, make_system
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,3 +118,88 @@ def test_status_map_matches_its_golden_digest(golden_cases, name):
     assert len(digests) == len(want_digests)
     for d, (got, want) in enumerate(zip(digests, want_digests)):
         assert got == want, f"depth {d}"
+
+
+def _least_minor_valuation(system, label):
+    """The least valuation of a k x k Jacobian minor at the label (None when
+    every minor vanishes); for one equation the minors are the partials."""
+    vals = [pval(system.p, system.partial(0, j, label)) for j in range(system.n)]
+    return min((v for v in vals if v is not None), default=None)
+
+
+def _below_a_covering_class(system, depth, label):
+    """Whether some strict ancestor (j, label mod p^j), j >= 1, has a minor
+    of valuation e <= j - 1: a covering class."""
+    for j in range(1, depth):
+        e = _least_minor_valuation(system, tuple(x % system.p**j for x in label))
+        if e is not None and j >= e + 1:
+            return True
+    return False
+
+
+def test_no_class_below_a_covering_class_is_searched_or_certified(monkeypatch):
+    # the cusp at p = 3, cap 8: the counts are deterministic, so bounding
+    # them guards the cover's saving without timing anything (before the
+    # cover: 2,440 searches and 2,465 Newton tests)
+    from padictrees import enum_trees
+
+    system = cusp_system(3)
+    searched, certified = [], []
+    search, certify = enum_trees._Lifter._search, enum_trees.newton_certify
+
+    def counted_search(self, label, depth, g, budget):
+        searched.append((depth, label))
+        return search(self, label, depth, g, budget)
+
+    def counted_certify(sys, x):
+        certified.append((x.prec, x.residues()))
+        return certify(sys, x)
+
+    monkeypatch.setattr(enum_trees._Lifter, "_search", counted_search)
+    monkeypatch.setattr(enum_trees, "newton_certify", counted_certify)
+    tree, _ = lifted_tree(system, 8, 8)
+    assert tree.layer_sizes() == [1, 3, 7, 20, 61, 182, 544, 1640, 4918]
+    for depth, label in searched + certified:
+        assert not _below_a_covering_class(system, depth, label), (depth, label)
+    assert len(searched) <= 36
+    assert len(certified) <= 44
+
+
+def test_a_long_singular_spine_needs_no_recursion(tmp_path, capsys):
+    # x^2 = 2 * 3^1201 at p = 3: the spine class 0 has J(0) = 0, so no
+    # cover applies, and the search walks the spine down to depth 600
+    path = tmp_path / "spine.json"
+    path.write_text(json.dumps(make_system(3, 1, [[(1, (2,)), (-2 * 3**1201, ())]]).to_json()))
+    start = time.perf_counter()
+    code = main(["enum", str(path), "--depth", "300", "--format", "text"])
+    assert time.perf_counter() - start < 5
+    assert code in (0, 3)
+    out, err = capsys.readouterr()
+    assert len(out.split()) == 301
+    assert "Traceback" not in err
+
+
+def test_image_table_matches_the_listed_image():
+    # the Smith form's answer against the image listed vector by vector,
+    # on small k x n matrices mod p^e, at every modulus p^m with m <= e
+    from itertools import product
+
+    rng = random.Random(16)
+    for _ in range(60):
+        p, e = rng.choice(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)))
+        k, n = rng.choice(((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)))
+        jac = [[rng.choice((0, 1, p, p * p, rng.randrange(p**3))) for _ in range(n)] for _ in range(k)]
+        image = _Image(jac, p, e)
+        spans = []
+        for m in range(1, e + 1):
+            mod = p**m
+            spans.append({
+                tuple(sum(a * x for a, x in zip(row, t)) % mod for row in jac)
+                for t in product(range(mod), repeat=n)
+            })
+        for c in product(range(p**e), repeat=k):
+            want = next(
+                (m for m in range(1, e + 1) if tuple(x % p**m for x in c) not in spans[m - 1]), 0
+            )
+            # f(x) / p^depth is c at depth 2
+            assert image.miss([x * p**2 for x in c], 2) == want, (jac, p, e, c)

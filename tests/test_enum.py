@@ -134,7 +134,7 @@ def test_cut_search_exits_with_unknown(tmp_path, capsys):
     path = tmp_path / "cubes.json"
     path.write_text(json.dumps(_cubes().to_json()))
     out = str(tmp_path / "tree.json")
-    argv = ["enum", str(path), "--depth", "3", "--cert-budget", "50", "--out", out]
+    argv = ["enum", str(path), "--depth", "4", "--cert-budget", "50", "--out", out]
     assert main(argv) == 3
     assert "Unknown statuses remain" in capsys.readouterr().err
     with open(out + ".status.json") as fh:
@@ -406,5 +406,11 @@ def test_singular_spine_is_never_hensel():
         assert t.layer_sizes() == expand_counts(datum, (), sys.p, cap)
         for d in range(cap + 1):
             assert statuses[d, origin].kind != "hensel", d
-        hensel = {st for st in statuses.values() if isinstance(st, Yes) and st.kind == "hensel"}
-        assert all(st.depth == 1 and st.label != origin for st in hensel)
+        # a Hensel certificate names a covering class off the spine, with a
+        # minor of valuation margin at depth >= margin + 1, on the branch of
+        # every class it answers: below it, or above it through a search
+        for (d, lab), st in statuses.items():
+            if isinstance(st, Yes) and st.kind == "hensel":
+                assert st.depth >= st.certificate.margin + 1 and st.label != origin
+                m = sys.p ** min(d, st.depth)
+                assert [x % m for x in lab] == [x % m for x in st.label], (d, lab)

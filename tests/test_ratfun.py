@@ -1,5 +1,6 @@
 """Tests for exact rational generating function arithmetic."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -129,6 +130,18 @@ def test_json_round_trip():
     g = RationalGF.from_json(f.to_json())
     assert g == f
     assert gf_equal(g, f)
+
+
+def test_negative_exponent_factor_is_refused():
+    # 1 / (1 - Z^-1) is no power series; normalising it never returned
+    data = {
+        "format": 1, "variables": ["Z"], "numerator": [{"e": [0], "c": "1"}],
+        "denominator": [{"c": 1, "e": [-1], "mult": 1}],
+    }
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"\(1 - Z\^-1\) has a negative exponent"):
+        RationalGF.from_json(data)
+    assert time.perf_counter() - start < 1
 
 
 def test_str_rendering():
