@@ -30,20 +30,22 @@ naive_tree's expand callback:
   J(x) t mod p^(2d'), a naive class x + p^d' Z_p^n in it (d' >= d) has a
   point mod p^(d' + m), m <= e, iff f(x) / p^d' mod p^m lies in the image
   of J(a) mod p^m; at m = e such a point y has v(f(y)) > 2e, and Newton's
-  lemma lifts it.  So one lookup in an image table, shared by the classes
-  with the same Jacobian mod p^e, decides each class: the covering
+  lemma lifts it.  So one lookup in the covering class's image table,
+  which the classes below it carry, decides each class: the covering
   class's Yes, or No at the first depth d' + m that misses the image.
   Covered classes are neither searched nor certified; at e = 0 all are
   Yes.
 - Every other class is resolved by a search that reads the class's shifted
   system g(t) = f(label + p^depth t), carried down one digit step at a
   time: a child with digit vector d has g(d + p t).  The search decides a
-  covering class it reaches by the cover, and runs on an explicit stack.
+  covering class it reaches by the cover.
 
-The extension-existence test behind No is exact: it recurses on digits of
-the carried system and memoises on the reduced coefficients, so digits
-the equations do not yet see cost nothing instead of multiplying the
-search by p^n per level.
+The extension-existence test behind No is exact: it takes one digit step
+of the carried system at a time and memoises on the reduced coefficients,
+so digits the equations do not yet see cost nothing instead of
+multiplying the search by p^n per level.  It and the search are
+generators driven by one loop, _run, on an explicit stack, so a deep
+spine needs no recursion.
 """
 
 from __future__ import annotations
@@ -301,11 +303,30 @@ def _norm_state(polys_k, p):
     return tuple(sorted(state))
 
 
-def _alive(state, p: int, n: int, memo: dict, budget: list) -> bool:
-    """Whether some t in Z_p^n solves every equation of the state.
+def _run(search):
+    """Drive a search on one explicit stack: the generator yields the
+    generator of each sub-search it needs, is sent that sub-search's
+    result, and returns its own."""
+    stack, sent = [search], None
+    while stack:
+        try:
+            sub = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+        else:
+            stack.append(sub)
+            sent = None
+    return sent
 
-    Digit recursion t = d + p t'; each step strips at least one power of p
-    from every equation, so the recursion depth is bounded by max K.
+
+def _alive(state, p: int, n: int, memo: dict, budget: list):
+    """Search for _run: whether some t in Z_p^n solves every equation of
+    the state.
+
+    Digit steps t = d + p t', one sub-search per digit; each step strips at
+    least one power of p from every equation, so the stack depth is bounded
+    by max K.
     """
     if state is None:
         return False
@@ -322,7 +343,7 @@ def _alive(state, p: int, n: int, memo: dict, budget: list) -> bool:
         child = _norm_state(
             [(shift_scale(poly, d, p, p**K), K) for poly, K in state], p
         )
-        if _alive(child, p, n, memo, budget):
+        if (yield _alive(child, p, n, memo, budget)):
             result = True
             break
     memo[state] = result
@@ -370,16 +391,6 @@ class _Image:
         return min((pval(p, w) + 1 for w, q in ws if w % q), default=0)
 
 
-class _Cover:
-    """A covering class: the image table of its Jacobian, and the Yes that
-    every class of its naive subtree in the image shares."""
-
-    __slots__ = ("image", "yes")
-
-    def __init__(self, image, yes):
-        self.image, self.yes = image, yes
-
-
 class _Lifter:
     """Shared state for one lifted_tree computation.
 
@@ -406,15 +417,14 @@ class _Lifter:
         self.status: dict = {}
         self.quick: dict = {}
         self.wit_cache: dict = {}
-        self.images: dict = {}  # (e, Jacobian mod p^e) -> _Image
-        self.covering: dict = {}  # (depth, label) -> _Cover, for a Yes
+        self.covering: dict = {}  # (depth, label) -> _Image, for a Yes
         # the listed tree so far, one entry per layer: labels, parents
         # (none at the root) and statuses
         self.labels: list = []
         self.parents: list = []
         self.statuses: list = []
         # per class of the last layer: its carried system when it is
-        # searched, the _Cover it lies in when covered, None below a No
+        # searched, its cover's _Image when covered, None below a No
         self.carried: list = []
 
     def root_system(self):
@@ -433,15 +443,15 @@ class _Lifter:
             return True
         state = _norm_state([(f, target) for f in g], self.p)
         try:
-            return _alive(state, self.p, self.sys.n, self.alive_memo, self.alive_budget)
+            return _run(_alive(state, self.p, self.sys.n, self.alive_memo, self.alive_budget))
         except NodeBudgetExceeded as exc:
             raise NodeBudgetExceeded(
                 f"extension-search budget of {self.node_budget} nodes ran out "
                 f"while resolving the class at depth {depth}, label {label}"
             ) from exc
 
-    def _death_depth(self, g, label, depth, target) -> int:
-        for d in range(depth + 1, target + 1):
+    def _death_depth(self, g, label, depth) -> int:
+        for d in range(depth + 1, self.deep_target + 1):
             if not self._alive_at(g, label, depth, d):
                 return d
         raise DomainError("death depth requested for a live class")
@@ -449,8 +459,7 @@ class _Lifter:
     def _minor(self, label, depth):
         """(image table, cols) when the class is covering: the least
         valuation e of a k x k Jacobian minor at the label, reached on
-        cols, is below the depth.  Else None.  Classes with the same e and
-        the same Jacobian mod p^e share the table."""
+        cols, is below the depth.  Else None."""
         sys, p, mod = self.sys, self.p, self.p**depth
         jac = [[sys.partial(i, j, label) % mod for j in range(sys.n)] for i in range(len(sys.polys))]
         if jac and not any(map(any, jac)):
@@ -462,10 +471,7 @@ class _Lifter:
         e, cols = min(((pval(p, d), cols) for d, cols in dets if d), default=(0, None))
         if cols is None:
             return None
-        key = (e, tuple(tuple(x % p**e for x in row) for row in jac))
-        if key not in self.images:
-            self.images[key] = _Image(jac, p, e)
-        return self.images[key], cols
+        return _Image(jac, p, e), cols
 
     def _witness_for(self, label, depth):
         table = self.wit_cache.get(depth)
@@ -497,7 +503,7 @@ class _Lifter:
                 st = No(depth + m)
             else:
                 st = Yes(Certified(image.e, depth, cols), "hensel", depth, label)
-                self.covering[key] = _Cover(image, st)
+                self.covering[key] = image
         else:
             st = None
             w = self._witness_for(label, depth)
@@ -510,51 +516,36 @@ class _Lifter:
         self.quick[key] = st
         return st
 
-    def resolve(self, label, depth, g, budget) -> object:
-        """Status of the class, searched through its carried system g;
-        memoised unless the search budget cut it.  The searches run on an
-        explicit stack, one generator per open class, so a long singular
-        spine needs no recursion."""
-        st = self.status.get((depth, label))
-        if st is not None:
-            return st
-        stack = [((depth, label), self._search(label, depth, g, budget))]
-        sent = None
-        while stack:
-            key, search = stack[-1]
-            try:
-                kid, gk = search.send(sent)
-            except StopIteration as done:
-                st, final = done.value
-                if final:
-                    self.status[key] = st
-                stack.pop()
-                sent = st
-            else:
-                stack.append(((key[0] + 1, kid), self._search(kid, key[0] + 1, gk, budget)))
-                sent = None
-        return st
-
     def _search(self, label, depth, g, budget):
-        """Generator behind resolve: it yields (kid, carried system) for each
-        child whose status it needs, is sent that status, and returns
-        (status, final)."""
+        """Search for _run: the status of the class, read through its
+        carried system g, and stored unless the search budget cut it."""
         budget[0] -= 1
         if budget[0] < 0:
-            return Unknown(self.search_budget), False
+            return Unknown(self.search_budget)
         st = self._quick(label, depth)
-        if st is not None:
-            return st, True
+        if st is None:
+            st = yield from self._scan(label, depth, g, budget)
+            if isinstance(st, Unknown) and budget[0] < 0:
+                return st
+        self.status[depth, label] = st
+        return st
+
+    def _scan(self, label, depth, g, budget):
+        """The search of a class without a quick status: No when its
+        congruence tree dies, else its children's statuses, searched on the
+        stack.  A budget cut below it leaves the budget negative, and it
+        then ends Unknown with the search budget, unless a Yes turns up."""
         kids = None
         if depth < self.target:
             kids = self.children(label, depth)
             if not kids:
-                return No(depth + 1), True
-        for target in (self.target, self.deep_target):
-            if not self._alive_at(g, label, depth, target):
-                return No(self._death_depth(g, label, depth, target)), True
+                return No(depth + 1)
+        # one test for No, at the deepest modulus: a point mod p^deep_target
+        # reduces to one mod p^target
+        if not self._alive_at(g, label, depth, self.deep_target):
+            return No(self._death_depth(g, label, depth))
         if depth >= self.target:
-            return Unknown(self.delta), True
+            return Unknown(self.delta)
         for kid in kids:
             st = self.status.get((depth + 1, kid))
             if st is None:
@@ -562,27 +553,22 @@ class _Lifter:
                 if st is not None:
                     self.status[(depth + 1, kid)] = st
             if isinstance(st, Yes):
-                return st, True
-        tainted = False
+                return st
         all_no = True
         dead = depth
         for kid in kids:
             st = self.status.get((depth + 1, kid))
             if st is None:
-                st = yield kid, self.shift(g, kid, label, depth)
+                st = yield self._search(kid, depth + 1, self.shift(g, kid, label, depth), budget)
             if isinstance(st, Yes):
-                return st, True
+                return st
             if isinstance(st, No):
                 dead = max(dead, st.exhausted_at)
             else:
                 all_no = False
-                if budget[0] < 0:
-                    tainted = True
         if all_no:
-            return No(dead), True
-        if tainted:
-            return Unknown(self.search_budget), False
-        return Unknown(self.delta), True
+            return No(dead)
+        return Unknown(self.search_budget if budget[0] < 0 else self.delta)
 
     def walk(self, depth, labels, parents):
         """naive_tree's expand callback: the statuses of a listed layer, and
@@ -591,17 +577,18 @@ class _Lifter:
         values = self.children.values
         if depth == 0:
             g = self.root_system()
-            layer, nxt = [self.resolve(labels[0], 0, g, [self.search_budget])], [g]
+            layer, nxt = [_run(self._search(labels[0], 0, g, [self.search_budget]))], [g]
             fxs = [()]  # the roots mod p are found without f(label)
         else:
             layer, nxt, fxs = [], [], []
             for lab, par in zip(labels, parents):
                 g = self.carried[par]
-                if type(g) is _Cover:
-                    # below a covering class: one lookup, none at margin 0
-                    fx = values(lab) if g.image.e else None
-                    m = g.image.miss(fx, depth) if fx else 0
-                    st = No(depth + m) if m else g.yes
+                if type(g) is _Image:
+                    # below a covering class: one lookup, none at margin 0;
+                    # the parent is not No, so its status is the cover's Yes
+                    fx = values(lab) if g.e else None
+                    m = g.miss(fx, depth) if fx else 0
+                    st = No(depth + m) if m else self.statuses[-1][par]
                 else:
                     key, fx = (depth, lab), values(lab)
                     st = self.status.get(key) or self._quick(lab, depth, fx)
@@ -609,7 +596,7 @@ class _Lifter:
                     if g is None and not isinstance(st, No):
                         g = self.shift(up, lab, self.labels[-1][par], depth - 1)
                         if st is None:
-                            st = self.resolve(lab, depth, g, [self.search_budget])
+                            st = _run(self._search(lab, depth, g, [self.search_budget]))
                     if isinstance(st, Yes):
                         self._propagate(st, depth - 1, par)
                 layer.append(st)

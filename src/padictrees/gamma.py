@@ -535,9 +535,9 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
                 if const_len and int(b_val) - delta2 < int(a_val) + delta:
                     continue
 
-            pos = all(a >= 0 for a in alpha)
-            neg = all(a <= 0 for a in alpha)
-            if pos == neg:  # mixed signs, or all zero
+            # alpha[k] = 1, as inner sums rewrite only the exponents that
+            # hold inner coordinates: a negative entry means mixed signs
+            if any(a < 0 for a in alpha):
                 # fall back to explicit enumeration; needs a constant range
                 if not const_len:
                     raise DomainError(
@@ -553,21 +553,10 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
                     parts.append(_region_sum(c, k - 1, cong2, children, variables))
                 continue
 
-            sgn = 1 if pos else -1
-            fexp = tuple(int(sgn * a * rho2) for a in alpha)
+            fexp = tuple(int(a * rho2) for a in alpha)
             den2 = {**den, (1, fexp): den.get((1, fexp), 0) + 1}
-            if pos:
-                hi_form = last + rho2 if finite else None
-                lo_form = first
-            else:
-                if not finite:
-                    raise DomainError(
-                        "negative exponent direction with an infinite range"
-                    )
-                lo_form = last
-                hi_form = first - rho2
-            children = [(coef, _subst(exps, k, lo_form), den2)]
-            if hi_form is not None:
-                children.append((-coef, _subst(exps, k, hi_form), den2))
+            children = [(coef, _subst(exps, k, first), den2)]
+            if finite:
+                children.append((-coef, _subst(exps, k, last + rho2), den2))
             parts.append(_region_sum(c, k - 1, cong2, children, variables))
     return gf_sum(variables, parts)

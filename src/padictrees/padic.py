@@ -276,14 +276,14 @@ def newton_certify(sys, a: PadicVec):
     With e = v(det J) and s = min_i v(g_i(0)) > 2e, the update t -> t -
     J^{-1} g(t) maps p^{s-e} Z_p^k to itself and at least doubles s - 2e >= 1,
     so it converges to a root t* with v(t*) >= s - e.  Returns Inconclusive
-    otherwise; Inconclusive is not a disproof.
+    otherwise, and always for an inexact representative of a system with
+    more equations than variables (k > n), which has no k x k minor;
+    Inconclusive is not a disproof.
     """
     from itertools import combinations
 
     k = len(sys.polys)
     n = sys.n
-    if k > n:
-        raise DomainError("more equations than variables")
     if k == 0:
         return Certified(0, a.prec, ())  # empty system: everything lifts
     p, m = a.p, a.prec

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,8 +20,8 @@ from padictrees.enum_trees import (
     tree_on_cheese,
 )
 from padictrees.errors import DomainError, NodeBudgetExceeded
-from padictrees.padic import vec
-from padictrees.polysys import PolySystem, cusp_system, make_system
+from padictrees.padic import pval, vec
+from padictrees.polysys import PolySystem, _int_det, cusp_system, make_system
 from padictrees.trees import (
     Ball,
     Cheese,
@@ -414,3 +415,73 @@ def test_singular_spine_is_never_hensel():
                 assert st.depth >= st.certificate.margin + 1 and st.label != origin
                 m = sys.p ** min(d, st.depth)
                 assert [x % m for x in lab] == [x % m for x in st.label], (d, lab)
+
+
+def test_more_equations_than_variables(tmp_path, capsys):
+    # {x = 0, x^2 = 0}: no 2 x 2 minor exists, and every class of the path
+    # is decided by its exact representative 0
+    sys = make_system(3, 1, [[(1, (1,))], [(1, (2,))]])
+    t, statuses = lifted_tree(sys, 4, 4)
+    assert t.layer_sizes() == [1, 1, 1, 1, 1]
+    assert all(isinstance(st, Yes) and st.kind == "exact" for st in statuses.values())
+    path = tmp_path / "kn.json"
+    path.write_text(json.dumps(sys.to_json()))
+    assert main(["enum", str(path), "--depth", "4", "--format", "text"]) == 0
+    assert capsys.readouterr().out.split() == ["1"] * 5
+
+
+def test_two_equations_in_three_variables():
+    # y = x^2, z^2 = y at p = 5: a curve with 2 * 5^d - 1 classes at depth
+    # d, decided through 2 x 2 Jacobian minors
+    sys = make_system(5, 3, [[(1, (0, 1, 0)), (-1, (2, 0, 0))], [(1, (0, 0, 2)), (-1, (0, 1, 0))]])
+    t, statuses = lifted_tree(sys, 4, 4)
+    assert t.layer_sizes() == [2 * 5**d - 1 for d in range(5)]
+    assert naive_tree(sys, 2).layer_sizes() == [1, 9, 65]
+    kinds = set()
+    for st in statuses.values():
+        if isinstance(st, Yes) and st.kind in ("hensel", "newton"):
+            kinds.add(st.kind)
+            cert = st.certificate
+            assert len(cert.cols) == 2
+            assert pval(5, sys.jacobian_minor(st.label, cert.cols)) == cert.margin
+    assert "hensel" in kinds
+
+
+def _fraction_det(mat):
+    """The determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(len(a)):
+        r = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def test_int_det_matches_rational_elimination():
+    rng = random.Random(17)
+    for k in (3, 4):
+        for _ in range(200):
+            mat = [[rng.choice((0, 0, 1, -1, rng.randint(-40, 40))) for _ in range(k)] for _ in range(k)]
+            assert _int_det(mat) == _fraction_det(mat), mat
+
+
+def test_deep_singular_spine_needs_no_recursion(tmp_path, capsys):
+    # x^2 = 2 * 3^2401 at p = 3 has no point: the extension search walks
+    # the spine class 0 down to its death depth 2402 on one stack
+    path = tmp_path / "spine.json"
+    path.write_text(json.dumps(make_system(3, 1, [[(1, (2,)), (-2 * 3**2401, ())]]).to_json()))
+    out = str(tmp_path / "tree.json")
+    code = main(["enum", str(path), "--depth", "2", "--delta", "1200", "--out", out])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out + ".status.json") as fh:
+        rows = json.load(fh)["statuses"]
+    assert rows == [{"depth": 0, "label": [0], "status": "no", "exhausted_at": 2402}]

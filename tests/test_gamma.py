@@ -190,6 +190,36 @@ def test_gf_matches_membership_random():
         assert gf_matches_membership(c), c
 
 
+def random_descending_cell(rng):
+    """Random 2-D cell whose inner bounds have a negative coefficient, with
+    a finite outer range on which every inner range is nonempty and >= 0;
+    the inner sum then leaves exponents of mixed sign in the outer one."""
+    while True:
+        a = rng.randint(0, 4)
+        b = a + rng.randint(0, 5)
+        rho0, rho1 = rng.randint(1, 3), rng.randint(1, 3)
+        r0, r1 = rng.randrange(rho0), rng.randrange(rho1)
+        c1, c2 = rng.randint(-3, 2), rng.randint(-3, 2)
+        if min(c1, c2) >= 0:
+            continue
+        lo = linear([c1], rng.randint(0, 12))
+        hi = linear([c2], rng.randint(0, 12)) if rng.random() < 0.8 else INFINITY
+        outer = [k for k in range(a, b + 1) if k % rho0 == r0]
+        if outer and all(
+            lo.value((k,)) >= 0
+            and (hi is INFINITY or lo.value((k,)) + (r1 - lo.value((k,))) % rho1 <= hi.value((k,)))
+            for k in outer
+        ):
+            return cell([(a, b), (lo, hi)], [(r0, rho0), (r1, rho1)])
+
+
+def test_gf_matches_membership_with_descending_inner_bounds():
+    rng = random.Random(7)
+    for _ in range(300):
+        c = random_descending_cell(rng)
+        assert gf_matches_membership(c, box_side=30), c
+
+
 def test_gammaset_gf_adds_cells():
     s = gamma_set([interval_cell(0, INFINITY, 0, 2), interval_cell(1, INFINITY, 1, 2)])
     f = cell_gf(s)
