@@ -6,7 +6,8 @@ linear function or infinity, and a congruence condition.  A GammaSet is a
 finite disjoint union of cells.  cell_gf produces the exact rational
 generating function of the lattice points by innermost-first telescoped
 geometric sums, refining congruence classes on demand so that every bound
-is constant modulo the summation period.
+is constant modulo the summation period; a one-point range is substituted,
+not summed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NonIntegralExponent,
     UnboundedBelow,
 )
-from .ratfun import RationalGF, gf_const, gf_sum
+from .ratfun import RationalGF, gf_sum, gf_zero
 
 
 class _Infinity:
@@ -443,6 +444,11 @@ def cell_nonempty(c: GammaCell) -> bool:
 # step exponents integral; outer congruence classes are refined until A and
 # B are constant mod rho', which keeps first and last affine.
 #
+# A one-point range (B the same form as A) is not telescoped: kappa_k = A is
+# substituted into the exponents, with no new factor, on each class where
+# the congruence holds at A, and the class contributes nothing where it
+# misses.  A cell that is one point in every coordinate is its monomial.
+#
 # Soundness condition (validated against brute force in tests): on each
 # refined class, every finite range is nonempty or misses by at most one
 # period, so the empty case telescopes to exactly zero.
@@ -462,19 +468,50 @@ def cell_gf(M, variables=None) -> RationalGF:
 
 def _one_cell_gf(c: GammaCell, variables) -> RationalGF:
     m = c.m
-    if m == 0:
-        return gf_const(variables, 1)
+    if all(hi == lo for lo, hi in c.bounds):
+        return _point_gf(c, variables)
     init = (1, tuple(var(j, m) for j in range(m)), {})
     return _region_sum(c, m - 1, tuple(c.cong), [init], variables)
 
 
+def _point_gf(c: GammaCell, variables) -> RationalGF:
+    """The monomial of a cell that is one point in every coordinate, or 0
+    when a congruence misses the point."""
+    point = []
+    for (lo, _), (r, rho) in zip(c.bounds, c.cong):
+        k = lo.value(point)
+        if k.denominator != 1:
+            raise NonIntegral(f"point coordinate {lo} = {k} at {tuple(point)}")
+        if k % rho != r:
+            return gf_zero(variables)
+        point.append(int(k))
+    if min(point, default=0) < 0:
+        raise DomainError("negative exponent: set leaves Gamma_{>=0}")
+    return RationalGF.make(variables, {tuple(point): 1}, {})
+
+
 def _subst(exps, k, g):
-    """The exponent forms with g, a form free of k_k, put in for k_k."""
-    move = g - var(k, len(exps))
-    return tuple(e + move * e.coeffs[k] if e.coeffs[k] else e for e in exps)
+    """The exponent forms with g, a form free of k_k, put in for k_k; each
+    form that holds k_k is rebuilt in one pass."""
+    out = []
+    for e in exps:
+        a = e.coeffs[k]
+        if not a:
+            out.append(e)
+            continue
+        coeffs = list(e.coeffs)
+        coeffs[k] = 0
+        for t, b in enumerate(g.coeffs):
+            if b:
+                coeffs[t] += a * b
+        out.append(LinearFn(tuple(coeffs), e.const + a * g.const))
+    return tuple(out)
 
 
 def _region_sum(c, k, cong, terms, variables) -> RationalGF:
+    """The terms summed over coordinates k, k - 1, ..., 0 of c on the
+    classes cong: a ranging coordinate is telescoped, a one-point one is
+    substituted."""
     m = c.m
     if k < 0:
         monos = []
@@ -493,7 +530,8 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
         return gf_sum(variables, monos)
 
     lo_fn, hi_fn = c.bounds[k]
-    finite = hi_fn is not INFINITY
+    point = hi_fn == lo_fn
+    finite = hi_fn is not INFINITY and not point
     bound_fns = (lo_fn, hi_fn) if finite else (lo_fn,)
     const_len = finite and (hi_fn - lo_fn).is_constant()
     parts = []
@@ -521,6 +559,12 @@ def _region_sum(c, k, cong, terms, variables) -> RationalGF:
             if a_val.denominator != 1:
                 raise NonIntegral(f"lower bound {lo_fn} non-integral on class {choice}")
             delta = (r_k - int(a_val)) % rho2
+            if point:
+                # the class holds the point, or nothing when delta misses it
+                if not delta:
+                    child = (coef, _subst(exps, k, lo_fn), den)
+                    parts.append(_region_sum(c, k - 1, cong2, [child], variables))
+                continue
             first = lo_fn + delta
             if finite:
                 b_val = hi_fn.value(rep)

@@ -232,3 +232,90 @@ def test_cell_json_round_trip():
     assert c2 == c
     s = gamma_set([c])
     assert GammaSet.from_json(s.to_json()) == s
+
+
+def _point_bound(rng, i, cong):
+    """A form over coordinates < i with nonnegative rational coefficients,
+    each denominator dividing its coordinate's modulus and residue, so the
+    form is integral on every point of the congruences."""
+    coeffs = []
+    for r, rho in cong[:i]:
+        d = rng.choice([d for d in range(1, rho + 1) if rho % d == 0 and r % d == 0])
+        coeffs.append(Fraction(rng.randint(0, 3), d))
+    return LinearFn(tuple(coeffs), Fraction(rng.randint(0, 4)))
+
+
+def random_mixed_cell(rng, m, point_share):
+    """Random quadrant cell whose coordinates are one point with the given
+    chance, and otherwise a constant-length or half-infinite range; half
+    the residues are 0, which lets later bounds divide by the modulus."""
+    cong = []
+    for _ in range(m):
+        rho = rng.randint(1, 4)
+        cong.append((rng.randrange(rho) if rng.random() < 0.5 else 0, rho))
+    bounds = []
+    for i in range(m):
+        lo = _point_bound(rng, i, cong)
+        if rng.random() < point_share:
+            hi = lo
+        elif rng.random() < 0.5:
+            hi = INFINITY
+        else:
+            hi = lo + rng.randint(0, 6)
+        bounds.append((lo, hi))
+    return GammaCell(tuple(bounds), tuple(cong))
+
+
+def test_point_cells_are_their_monomials():
+    rng = random.Random(18)
+    seen = Counter()
+    for _ in range(200):
+        c = random_mixed_cell(rng, rng.randint(1, 3), 1)
+        pts = cell_members(c, [200] * c.m)
+        f = cell_gf(c)
+        assert not f.denominator, c
+        assert f.numerator == tuple((pt, 1) for pt in pts), c
+        seen[len(pts)] += 1
+    assert seen[0] and seen[1]
+
+
+def test_point_cell_refusals():
+    assert cell_gf(interval_cell(3, 3, 0, 2)).is_zero()
+    assert cell_gf(cell([(3, 3), (linear([1]), linear([1]))], [(1, 2), (0, 2)])).is_zero()
+    with pytest.raises(DomainError, match="negative exponent"):
+        cell_gf(interval_cell(-1, -1))
+    with pytest.raises(DomainError, match="negative exponent"):
+        cell_gf(cell([(0, 3), (linear([1], -2), linear([1], -2))]))
+    half = linear(["1/2"])
+    with pytest.raises(NonIntegral):
+        cell_gf(cell([(1, 1), (half, half)]))
+    with pytest.raises(NonIntegral):
+        cell_gf(cell([(0, 4), (half, half)]))
+
+
+def test_point_under_its_half_is_a_monomial():
+    # the class k1 = 1 (mod 2) holds no point of this cell
+    half = linear(["1/2"])
+    assert str(cell_gf(cell([(2, 2), (half, half)]))) == "Y1^2*Y2"
+
+
+def test_gf_matches_membership_with_point_coordinates():
+    rng = random.Random(1803)
+    for _ in range(300):
+        c = random_mixed_cell(rng, rng.randint(2, 3), 0.5)
+        assert gf_matches_membership(c, box_side=10), c
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a range empty by more than one period telescopes to nonzero")
+def test_gf_of_a_cell_empty_by_two_periods_is_zero():
+    c = cell([(0, INFINITY), (linear([1], 5), 3)])
+    assert cell_gf(c).is_zero()
+
+
+@pytest.mark.xfail(strict=True, raises=NonIntegral,
+                   reason="a bound non-integral on a class with no point is refused")
+def test_half_line_over_a_point_under_its_half():
+    half = linear(["1/2"])
+    want = RationalGF.make(("Y1", "Y2"), {(2, 1): 1}, {(1, (0, 1)): 1})
+    assert gf_equal(cell_gf(cell([(2, 2), (half, INFINITY)])), want)

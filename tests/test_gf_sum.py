@@ -4,6 +4,7 @@ the ones recorded before the sum took whole levels of terms."""
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -132,3 +133,10 @@ def test_sum_equals_a_pairwise_fold():
 
 def test_deep_chain_series_is_a_path():
     assert str(datum_poincare(chain_datum(1500), 3)) == "(1) / (1 - Z)"
+
+
+def test_deep_chain_series_takes_under_a_second():
+    D = chain_datum(1500)
+    start = time.perf_counter()
+    datum_poincare(D, 3)
+    assert time.perf_counter() - start < 1
