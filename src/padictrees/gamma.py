@@ -479,12 +479,10 @@ def _point_gf(c: GammaCell, variables) -> RationalGF:
     when a congruence misses the point."""
     point = []
     for (lo, _), (r, rho) in zip(c.bounds, c.cong):
-        k = lo.value(point)
-        if k.denominator != 1:
-            raise NonIntegral(f"point coordinate {lo} = {k} at {tuple(point)}")
+        k = eval_linear(lo, point)
         if k % rho != r:
             return gf_zero(variables)
-        point.append(int(k))
+        point.append(k)
     if min(point, default=0) < 0:
         raise DomainError("negative exponent: set leaves Gamma_{>=0}")
     return RationalGF.make(variables, {tuple(point): 1}, {})
