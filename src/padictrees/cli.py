@@ -3,6 +3,7 @@
 Exit codes: 0 success (or isomorphic / check passed), 1 checked and false,
 2 usage or input error, 3 enumeration finished with Unknown lift statuses.
 All JSON payloads carry a "format" field and re-parse to equal values.
+Each command imports the modules it runs when it runs.
 """
 
 from __future__ import annotations
@@ -10,16 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import itemgetter
 
-from .datum import TreeDatum, expand
-from .enum_trees import No, Unknown, Yes, lifted_tree, naive_tree
 from .errors import DomainError, PadicTreesError
-from .poincare import datum_poincare
-from .polysys import PolySystem, _is_prime
-from .ratfun import expand_series
-from .realize import realize, verify_realization
-from .trees import TruncTree, is_isomorphic, to_dot
 
 __all__ = ["main", "build_parser"]
 
@@ -117,35 +110,41 @@ def _emit(text: str, out):
         print(text, end=end)
 
 
-def _emit_tree(t: TruncTree, args) -> None:
+def _emit_tree(t, args) -> None:
     if args.format == "json":
         _emit(json.dumps(t.to_json()), args.out)
     elif args.format == "dot":
+        from .trees import to_dot
+
         _emit(to_dot(t), args.out)
     else:
         _emit(" ".join(str(n) for n in t.layer_sizes()), args.out)
 
 
-def _status_tail(st, certs: list) -> str:
-    """A status's sidecar row after its "status" key.  A yes appends its
-    certificate, under the class it was made for, to certs and points at it."""
-    if isinstance(st, No):
-        return f'"no", "exhausted_at": {st.exhausted_at}}}'
-    if not isinstance(st, Yes):
-        return f'"unknown", "budget": {st.budget}}}'
-    cert = {"kind": st.kind, "depth": st.depth, "label": list(st.label)}
-    if st.kind == "witness":
-        cert["point"] = [str(q) for q in st.certificate]
-    elif st.kind != "exact":
-        cert["cols"] = list(st.certificate.cols)
-        cert["margin"] = st.certificate.margin
-        if st.kind == "newton":
-            cert["lift_depth"] = st.certificate.depth
-    certs.append(cert)
-    return f'"yes", "kind": "{st.kind}", "certificate": {len(certs) - 1}}}'
-
-
 def _cmd_enum(args) -> int:
+    from operator import itemgetter
+
+    from .enum_trees import No, Unknown, Yes, lifted_tree
+    from .polysys import PolySystem
+
+    def status_tail(st, certs: list) -> str:
+        """A status's sidecar row after its "status" key.  A yes appends its
+        certificate, under the class it was made for, to certs and points at it."""
+        if isinstance(st, No):
+            return f'"no", "exhausted_at": {st.exhausted_at}}}'
+        if not isinstance(st, Yes):
+            return f'"unknown", "budget": {st.budget}}}'
+        cert = {"kind": st.kind, "depth": st.depth, "label": list(st.label)}
+        if st.kind == "witness":
+            cert["point"] = [str(q) for q in st.certificate]
+        elif st.kind != "exact":
+            cert["cols"] = list(st.certificate.cols)
+            cert["margin"] = st.certificate.margin
+            if st.kind == "newton":
+                cert["lift_depth"] = st.certificate.depth
+        certs.append(cert)
+        return f'"yes", "kind": "{st.kind}", "certificate": {len(certs) - 1}}}'
+
     system = PolySystem.load(args.system)
     delta = args.delta if args.delta is not None else args.depth
     t, statuses = lifted_tree(
@@ -169,7 +168,7 @@ def _cmd_enum(args) -> int:
             for lab, st in layer:
                 tail = tails.get(id(st))
                 if tail is None:
-                    tail = tails[id(st)] = _status_tail(st, certs)
+                    tail = tails[id(st)] = status_tail(st, certs)
                 rows.append(f'{head}{", ".join(map(str, lab))}], "status": {tail}')
         sidecar = (
             f'{{"format": 1, "certificates": {json.dumps(certs)}, '
@@ -184,6 +183,9 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_naive(args) -> int:
+    from .enum_trees import naive_tree
+    from .polysys import PolySystem
+
     system = PolySystem.load(args.system)
     t = naive_tree(system, args.depth, args.node_budget)
     _emit_tree(t, args)
@@ -191,11 +193,15 @@ def _cmd_naive(args) -> int:
 
 
 def _require_prime(p: int) -> None:
+    from .polysys import _is_prime
+
     if not _is_prime(p):
         raise DomainError(f"--p must be a prime, not {p}")
 
 
 def _cmd_expand(args) -> int:
+    from .datum import TreeDatum, expand
+
     _require_prime(args.p)
     D = TreeDatum.load(args.datum)
     kappa = tuple(int(s) for s in args.param.split(",") if s.strip() != "")
@@ -218,10 +224,16 @@ def _cmd_poincare(args) -> int:
     if args.coeffs is not None and args.coeffs < 0:
         raise DomainError(f"--coeffs must be >= 0, not {args.coeffs}")
     if args.tree is not None:
+        from .trees import TruncTree
+
         counts = TruncTree.load(args.tree).layer_sizes()
         if args.coeffs is not None:
             counts = counts[: args.coeffs + 1]
         return _emit_coeffs(counts, args)
+    from .datum import TreeDatum
+    from .poincare import datum_poincare
+    from .ratfun import expand_series
+
     _require_prime(args.p)
     f = datum_poincare(TreeDatum.load(args.datum), args.p)
     if args.coeffs is not None:
@@ -234,6 +246,8 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .trees import TruncTree, is_isomorphic
+
     t1 = TruncTree.load(args.a)
     t2 = TruncTree.load(args.b)
     if t1.depth_cap != t2.depth_cap:
@@ -258,6 +272,9 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .datum import TreeDatum
+    from .realize import realize, verify_realization
+
     D = TreeDatum.load(args.datum)
     cloud = realize(D, args.depth, p=args.p)
     _emit(json.dumps(cloud.to_json()), args.out)
@@ -269,6 +286,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from .trees import TruncTree, to_dot
+
     t = TruncTree.load(args.tree)
     thick = None
     if args.thick:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import ceil, floor, lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DomainError,
@@ -44,7 +44,9 @@ from .gamma import (
     var,
     whole_quadrant,
 )
-from .trees import TruncTree, _graft, empty_tree, full_tree, product
+
+if TYPE_CHECKING:
+    from .trees import TruncTree
 
 MAX_LEVEL = 3
 MAX_PARAMS = 3
@@ -470,6 +472,9 @@ class _Budget:
 
 def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> TruncTree:
     """The truncated tree T(kappa) described by the datum."""
+    # imported here: a series run reads data but builds no tree
+    from .trees import TruncTree, _graft, empty_tree, full_tree, product
+
     kappa = tuple(int(k) for k in kappa)
     if len(kappa) != D.m:
         raise ParameterOutsideDomain(f"expected {D.m} parameters, got {len(kappa)}")

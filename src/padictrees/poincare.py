@@ -15,6 +15,7 @@ with the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import (
     DomainError,
@@ -38,7 +39,9 @@ from .ratfun import (
     gf_sum,
     substitute,
 )
-from .trees import TruncTree
+
+if TYPE_CHECKING:
+    from .trees import TruncTree
 
 __all__ = [
     "datum_poincare",

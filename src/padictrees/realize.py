@@ -418,7 +418,8 @@ def _plan(memo, D, forms, lam_form, kappa, lam, rem, dim, ctx):
                 e_new + dw, kappa + (ka,), ka + dw, rem2, dim - 1, ctx,
             )
             leaves.append((leaf, dw, centers[leaf], p ** max(rem2, 0), sub))
-        targets.append((anchor, coord_tag, ka, tuple(leaves)))
+        if leaves:
+            targets.append((anchor, coord_tag, ka, tuple(leaves)))
 
     for j, br in D.joint_branches:
         dj = eval_linear(table.depth_fns[j], kappa_d)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .errors import (
     DepthMismatch,
@@ -20,7 +20,9 @@ from .errors import (
     NodeBudgetExceeded,
     PrecisionExhausted,
 )
-from .padic import PadicVec
+
+if TYPE_CHECKING:
+    from .padic import PadicVec
 
 
 class TruncTree:
