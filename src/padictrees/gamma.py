@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product as iproduct
 from math import ceil, floor as _floor, gcd, lcm
 
@@ -64,24 +64,9 @@ class LinearFn:
     def arity(self) -> int:
         return len(self.coeffs)
 
-    @cached_property
-    def _int_terms(self):
-        """(const, coeffs) as ints when the form is integral, else None."""
-        if self.const.denominator != 1 or any(a.denominator != 1 for a in self.coeffs):
-            return None
-        return int(self.const), tuple(int(a) for a in self.coeffs)
-
     def value(self, point) -> Fraction:
         if len(point) < len(self.coeffs):
             raise DomainError("point has too few coordinates")
-        terms = self._int_terms
-        if terms is not None:
-            # most forms are integral; summing ints skips Fraction arithmetic
-            total, coeffs = terms
-            for a, k in zip(coeffs, point):
-                if a:
-                    total += a * k
-            return Fraction(total)
         total = Fraction(self.const)
         for a, k in zip(self.coeffs, point):
             if a:
