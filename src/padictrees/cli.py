@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, PadicTreesError
+from .errors import DomainError, PadicTreesError, _is_prime
 
 __all__ = ["main", "build_parser"]
 
@@ -193,8 +193,6 @@ def _cmd_naive(args) -> int:
 
 
 def _require_prime(p: int) -> None:
-    from .polysys import _is_prime
-
     if not _is_prime(p):
         raise DomainError(f"--p must be a prime, not {p}")
 

@@ -43,18 +43,57 @@ def is_finite(v: Valuation) -> bool:
     return isinstance(v, int)
 
 
-@dataclass(frozen=True)
-class PadicApprox:
+class _Value:
+    """Base of the immutable p-adic values.
+
+    A subclass names its fields in __slots__ and sets each once, in its
+    __init__; equality, hash, repr and the refusal to assign are those of a
+    frozen dataclass over the same fields.  A value costs about half as much
+    to build as a frozen dataclass, and the witness-cloud synthesis builds
+    one per point.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class PadicApprox(_Value):
     """An element of Z_p known modulo p^prec."""
 
-    p: int
-    prec: int
-    residue: int
+    __slots__ = ("p", "prec", "residue")
 
-    def __post_init__(self):
-        if self.prec < 0:
+    def __init__(self, p: int, prec: int, residue: int):
+        if prec < 0:
             raise DomainError("precision must be non-negative")
-        object.__setattr__(self, "residue", self.residue % self.p**self.prec)
+        _set(self, "p", p)
+        _set(self, "prec", prec)
+        _set(self, "residue", residue % p**prec)
 
     @property
     def modulus(self) -> int:
@@ -113,22 +152,21 @@ def from_rational(p: int, prec: int, q: Fraction) -> PadicApprox:
     return PadicApprox(p, prec, q.numerator * pow(q.denominator, -1, m) % m)
 
 
-@dataclass(frozen=True)
-class PadicVec:
+class PadicVec(_Value):
     """A vector over Z_p known modulo p^prec: one reduced residue per
     coordinate, so every coordinate shares p and prec by construction."""
 
-    p: int
-    prec: int
-    res: tuple[int, ...]
+    __slots__ = ("p", "prec", "res")
 
-    def __post_init__(self):
-        if not self.res:
+    def __init__(self, p: int, prec: int, res):
+        if not res:
             raise DomainError("empty vector")
-        if self.prec < 0:
+        if prec < 0:
             raise DomainError("precision must be non-negative")
-        m = self.p**self.prec
-        object.__setattr__(self, "res", tuple(r % m for r in self.res))
+        m = p**prec
+        _set(self, "p", p)
+        _set(self, "prec", prec)
+        _set(self, "res", tuple([r % m for r in res]))
 
     @property
     def coords(self) -> tuple[PadicApprox, ...]:

@@ -15,8 +15,11 @@ that vector only: the skeleton terms and which of them fall below the
 truncation depth, each u_ell's valuation, thin shell and root recipe, and
 which side branches attach where, with their ball centers.  So each call of
 realize builds a plan once per (datum, valuation vector, depth) and keeps
-the plans in a dict of its own; the per-sample pass then only evaluates
-unit parts and roots and adds residues.
+the plans in a dict of its own.  The pass over the cloud then takes the
+samples of one leaf together: for each it only evaluates unit parts and
+roots and adds residues, writing every point once at its final coordinates,
+and it descends once per sample and leaf into side data with side branches
+of their own.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .errors import (
     NotLeafless,
     NotRealizable,
     PrecisionExhausted,
+    _is_prime,
+    _json_int,
 )
 from .gamma import INFINITY, LinearFn, const_fn, eval_linear, var
 from .padic import (
@@ -47,7 +52,6 @@ from .padic import (
     vec,
     vvec,
 )
-from .polysys import _is_prime, _json_int
 from .trees import Ball, from_points, is_isomorphic
 
 __all__ = [
@@ -435,50 +439,53 @@ def _plan(memo, D, forms, lam_form, kappa, lam, rem, dim, ctx):
     return plan
 
 
-def _cloud(plan, xs, dim, ctx, tag, out):
-    """Points realizing the fiber tree of a plan's datum at the samples xs,
-    one per expected tree node; only the u-values and the residue sums
-    depend on the samples themselves."""
+def _cloud(plan, samples, shift, ctx, out):
+    """Points realizing the fiber tree of a plan's datum at each of the
+    samples behind one side-branch leaf (or at the one origin of the whole
+    datum), one per expected tree node, appended to out with their tags.
+
+    A sample is (xs, base, tag): its residues, the point that places the
+    datum's origin in the coordinates from index shift on (the leaf's anchor
+    and ball center moved by the sample, in one offset), and the provenance
+    prefix.  Each point is written once, at its final coordinates; only the
+    u-values and residue sums depend on the samples themselves.
+    """
     if plan is None:
         # nothing below the truncation depth is visible; a single point
         # anywhere in the fiber marks the node's presence
-        out.append(((0,) * dim, tag + "pad"))
+        out.extend((base, tag + "pad") for _, base, tag in samples)
         return
-    p, prec = ctx.p, ctx.prec
-    pmod = p**prec
-    uvals = [_u_eval(u, xs, ctx) for u in plan.us]
-    fres = [(0,) * dim]
-    for i, k in plan.rows:
-        row = fres[i]
-        if k is not None:
-            row = list(row)
-            row[i + 1] = (row[i + 1] + uvals[k]) % pmod
-            row = tuple(row)
-        fres.append(row)
+    p, pmod = ctx.p, ctx.p**ctx.prec
+    for xs, base, tag in samples:
+        uvals = [_u_eval(u, xs, ctx) for u in plan.us]
+        fres = [base]
+        for i, k in plan.rows:
+            row = fres[i]
+            if k is not None:
+                row = row.copy()
+                row[shift + i + 1] += uvals[k]
+            fres.append(row)
+        for j in plan.virtual:
+            out.append((fres[j], f"{tag}f{j}"))
 
-    for j in plan.virtual:
-        out.append((fres[j], f"{tag}f{j}"))
-
-    for anchor, coord_tag, ka, leaves in plan.targets:
-        base = fres[anchor]
-        for leaf, dw, yw, samples, sub_plan in leaves:
-            # samples z = p^ka (1 + p^dw s) give the full unit digit tree
-            # below the leaf ball; one s per node suffices since the side
-            # fiber varies 1-Lipschitz with z
-            for s in range(samples):
-                zres = p**ka * (1 + p**dw * s)
-                sub = []
-                _cloud(
-                    sub_plan, xs + (zres % pmod,), dim - 1, ctx,
-                    f"{tag}{coord_tag}w{leaf}z{s}/", sub,
-                )
-                for yres, tg in sub:
-                    row = [(base[0] + zres) % pmod]
-                    for c in range(dim - 1):
-                        row.append(
-                            (base[c + 1] + yres[c] + zres * yw[c]) % pmod
-                        )
-                    out.append((tuple(row), tg))
+        for anchor, coord_tag, ka, leaves in plan.targets:
+            head, at = fres[anchor][:shift], fres[anchor][shift:]
+            for leaf, dw, yw, count, sub_plan in leaves:
+                # samples z = p^ka (1 + p^dw s) give the full unit digit tree
+                # below the leaf ball; one s per node suffices since the side
+                # fiber varies 1-Lipschitz with z.  Sample z moves the anchor
+                # by z (1, yw) in the coordinates from shift on.
+                axis, z0, dz = (1,) + yw, p**ka, p ** (ka + dw)
+                prefix = f"{tag}{coord_tag}w{leaf}z"
+                subs = []
+                for s in range(count):
+                    z = z0 + dz * s
+                    subs.append((
+                        xs + (z % pmod,),
+                        head + [a + z * c for a, c in zip(at, axis)],
+                        f"{prefix}{s}/",
+                    ))
+                _cloud(sub_plan, subs, shift + 1, ctx, out)
 
 
 def realize(D: TreeDatum, depth_cap: int, p: int) -> WitnessCloud:
@@ -507,7 +514,7 @@ def realize(D: TreeDatum, depth_cap: int, p: int) -> WitnessCloud:
     if D.skeleton.num_joints:
         # the plan memo lives for this call only
         plan = _plan({}, D, (), const_fn(0, 0), (), 0, depth_cap, N, ctx)
-        _cloud(plan, (), N, ctx, "", out)
+        _cloud(plan, [((), [0] * N, "")], 0, ctx, out)
     pts = tuple(PadicVec(ctx.p, ctx.prec, row) for row, _ in out)
     return WitnessCloud(ctx.p, ctx.prec, 0, N, pts, tuple(t for _, t in out))
 

@@ -389,24 +389,26 @@ def _ahu_ids(trees: list[TruncTree], with_labels: bool) -> list[int]:
     depth mean exactly isomorphic subtrees (no hashing involved).
     """
     cap = trees[0].depth_cap
-    # process bottom-up with one shared intern table per depth
-    layer_ids = [[0] * t.layer_sizes()[cap] for t in trees]
+    # process bottom-up with one shared intern table per depth; a key is the
+    # sorted tuple of child ids, and only a node with two or more children
+    # needs the sort
+    layer_ids: list[list[int]] = [[] for _ in trees]
     for d in range(cap, -1, -1):
         intern: dict[tuple, int] = {}
         new_ids = []
-        for ti, t in enumerate(trees):
-            sizes = t.layer_sizes()
-            buckets: list[list[int]] = [[] for _ in range(sizes[d])]
-            if d < cap:
-                for i, par in enumerate(t.parents[d]):
-                    buckets[par].append(layer_ids[ti][i])
-            ids = []
-            for i in range(sizes[d]):
-                key = tuple(sorted(buckets[i]))
-                if with_labels:
-                    key = (_hashable(t.labels[d][i]) if t.labels else None, key)
-                ids.append(intern.setdefault(key, len(intern)))
-            new_ids.append(ids)
+        for t, below in zip(trees, layer_ids):
+            n = t.layer_sizes()[d]
+            if d == cap:
+                keys = [()] * n
+            else:
+                kids: list[list[int]] = [[] for _ in range(n)]
+                for par, i in zip(t.parents[d], below):
+                    kids[par].append(i)
+                keys = [tuple(k) if len(k) < 2 else tuple(sorted(k)) for k in kids]
+            if with_labels:
+                labels = t.labels[d] if t.labels else [None] * n
+                keys = [(_hashable(l), k) for l, k in zip(labels, keys)]
+            new_ids.append([intern.setdefault(k, len(intern)) for k in keys])
         layer_ids = new_ids
     return [-1 if t.empty else ids[0] for t, ids in zip(trees, layer_ids)]
 

@@ -6,10 +6,10 @@ import pytest
 
 from padictrees.cli import main
 from padictrees.datum import y_datum, zpn_datum
-from padictrees.errors import DomainError
+from padictrees.errors import PRIME_LIMIT, DomainError, _is_prime
 from padictrees.padic import pval
 from padictrees.poincare import datum_poincare
-from padictrees.polysys import PRIME_LIMIT, PolySystem, _is_prime, make_system
+from padictrees.polysys import PolySystem, make_system
 from padictrees.ratfun import expand_series
 from padictrees.realize import realize
 from padictrees.trees import TruncTree, full_tree, is_isomorphic, path_tree, y_tree

@@ -75,11 +75,11 @@ def inputs(tmp_path):
     (["naive", "cusp.json", "--depth", "3", "--format", "dot"], "enum_trees",
      {"datum", "gamma", "ratfun", "poincare", "realize"}),
     (["poincare", "--datum", "cuspdatum.json", "--p", "5", "--coeffs", "4"], "poincare",
-     {"enum_trees", "realize", "trees", "padic"}),
+     {"enum_trees", "realize", "trees", "padic", "polysys"}),
     (["expand", "y2.json", "--p", "3", "--depth", "4"], "trees",
-     {"enum_trees", "realize", "padic"}),
+     {"enum_trees", "realize", "padic", "polysys"}),
     (["realize", "y2.json", "--p", "3", "--depth", "4", "--check", "--out", "out"], "realize",
-     {"enum_trees", "poincare"}),
+     {"enum_trees", "poincare", "polysys"}),
 ], ids=["enum", "naive", "poincare", "expand", "realize"])
 def test_a_command_loads_only_what_it_runs(inputs, argv, runs, never):
     loaded = _loaded_by([inputs.get(a, a) for a in argv])

@@ -1,5 +1,7 @@
 """Tests for exact Z/p^k arithmetic, root lifting and Newton certificates."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from padictrees.padic import (
     Certified,
     INCONCLUSIVE,
     PadicApprox,
+    PadicVec,
     approx_eq,
     eth_root_lift,
     from_int,
@@ -89,6 +92,82 @@ def test_vec_and_valuations():
     assert (x - x).residues() == (0, 0)
     with pytest.raises(DomainError):
         vec(3, 4, [])
+
+
+# The value types: equality and hash follow (p, prec, reduced residues),
+# construction checks and reduces, and a value cannot be changed.
+
+_P = st.sampled_from([2, 3])
+_PREC = st.integers(0, 2)
+_RES = st.integers(-5, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_P, _PREC, _RES, _P, _PREC, _RES)
+def test_approx_equality_and_hash_follow_the_reduced_residue(p, k, a, q, l, b):
+    x, y = PadicApprox(p, k, a), PadicApprox(q, l, b)
+    same = (p, k, a % p**k) == (q, l, b % q**l)
+    assert (x == y) is same and (x != y) is not same
+    assert hash(x) == hash((p, k, a % p**k))
+    assert x != (p, k, a % p**k) and x != PadicVec(p, k, (a,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_P, _PREC, st.lists(_RES, min_size=1, max_size=2),
+       _P, _PREC, st.lists(_RES, min_size=1, max_size=2))
+def test_vec_equality_and_hash_follow_the_reduced_residues(p, k, xs, q, l, ys):
+    x, y = PadicVec(p, k, tuple(xs)), PadicVec(q, l, tuple(ys))
+    rx, ry = tuple(a % p**k for a in xs), tuple(b % q**l for b in ys)
+    same = (p, k, rx) == (q, l, ry)
+    assert (x == y) is same and (x != y) is not same
+    assert hash(x) == hash((p, k, rx))
+
+
+def test_value_types_reduce_on_construction():
+    assert PadicApprox(5, 2, -1).residue == 24
+    assert PadicApprox(5, 0, 7).residue == 0
+    x = PadicVec(5, 2, [-1, 30, 25])
+    assert x.res == (24, 5, 0) and x.residues() == (24, 5, 0)
+    assert x.coords == tuple(PadicApprox(5, 2, r) for r in (24, 5, 0))
+    assert len(x) == 3
+
+
+def test_value_types_check_their_arguments():
+    with pytest.raises(DomainError, match="precision must be non-negative"):
+        PadicApprox(3, -1, 0)
+    with pytest.raises(DomainError, match="precision must be non-negative"):
+        PadicVec(3, -1, (1,))
+    with pytest.raises(DomainError, match="empty vector"):
+        PadicVec(3, 2, ())
+    with pytest.raises(DomainError, match="empty vector"):
+        PadicVec(3, -1, ())
+
+
+def test_value_types_are_immutable():
+    x, v = PadicApprox(3, 4, 10), vec(3, 4, [1, 2])
+    for obj, field in ((x, "p"), (x, "prec"), (x, "residue"), (v, "res"), (v, "prec")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert x == PadicApprox(3, 4, 10) and v.res == (1, 2)
+
+
+def test_value_types_repr_copy_and_pickle():
+    x, v = PadicApprox(5, 3, 130), vec(3, 2, [10, -1])
+    assert repr(x) == "PadicApprox(p=5, prec=3, residue=5)"
+    assert repr(v) == "PadicVec(p=3, prec=2, res=(1, 8))"
+    for obj in (x, v):
+        assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_vec_difference():
+    x, y = vec(3, 4, [9, 6]), vec(3, 2, [1, 7])
+    assert x - y == PadicVec(3, 2, (8, 8))
+    assert (y - x).residues() == (1, 1)
+    with pytest.raises(DomainError, match="mixed primes"):
+        x - vec(5, 4, [9, 6])
 
 
 def test_unit_part():

@@ -6,16 +6,18 @@ import random
 
 import pytest
 
-from datum_gen import sample_data
+from datum_gen import random_leafless_datum, sample_data
 from padictrees.datum import (
     SideBranchDatum,
     SkeletonDatum,
     TERMINAL,
     TreeDatum,
+    _whole_strip,
     cusp_datum,
     point_datum,
     star_branch,
     terminal_branch,
+    validate,
     y_datum,
     zpn_datum,
 )
@@ -168,6 +170,41 @@ def test_realize_named_data():
         assert report.ok, (report.message, D)
 
 
+def _level1_draws(seed, count):
+    """Valid level-1 leafless draws with a side tree behind some leaf."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        D = random_leafless_datum(rng, 1)
+        if not validate(D) and any(
+            side is not TERMINAL for br, _ in D.side_data() for side in br.leaf_data
+        ):
+            out.append(D)
+    return out
+
+
+def _cusp_behind_a_star():
+    """A level-2 datum: the cusp's tree hangs at the root, so the side plans
+    carry side branches of their own."""
+    whole = whole_quadrant(0)
+    return TreeDatum(
+        level=2, m=0, domain=whole, rho=1, skeleton=SkeletonDatum((-1, 0), (INFINITY,)),
+        joint_branches=((0, star_branch(1, cusp_datum(3))),),
+        bone_branches=((1, _whole_strip(whole), terminal_branch()),),
+    )
+
+
+GOLDEN_CASES = (
+    NAMED_CASES
+    + [(D, 3, 6) for D in sample_data(101, 4, 3, 6)]
+    # the benchmark's shapes: the cusp jobs at their depths (at p = 3 the
+    # only u-values with e = 2), level-1 draws at the random jobs' (p, depth),
+    # and two level-2 data, whose side plans have side branches of their own
+    + [(cusp_datum(3), 3, 8), (cusp_datum(5), 5, 5)]
+    + [(D, p, cap) for D in _level1_draws(7, 4) for p, cap in ((3, 6), (5, 5))]
+    + [(_cusp_behind_a_star(), 3, 5), (zpn_datum(2, 2), 2, 6)]
+)
+
 # sha256 of json.dumps(cloud.to_json()): the clouds are deterministic, and a
 # speed-up of the synthesis must leave every byte of them as it is
 GOLDEN_CLOUDS = [
@@ -182,18 +219,38 @@ GOLDEN_CLOUDS = [
     "4c64af25c4966a6d0cc697f570721a391a69b5b791a4e8a9a3935b944b92c3a6",
     "87277f88375fe2f94e18a11629e8863dd970100fbcda5175b05553711513d324",
     "a2903dfb5a81cd22933072cc3b96b38774c09be120cb6657034aa63b4f6a2b73",
+    # cusp_datum(3) at depth 8, cusp_datum(5) at depth 5
+    "393f00f39ae69e7a1c91d8c2ec154421285f4967296d1a099b568fead779d5ce",
+    "8ed96d734aba4726e9d18beaaf6b43976980f138cad0651a0db19bf4c402e37d",
+    # _level1_draws(7, 4), each at (p, depth) = (3, 6) and (5, 5)
+    "f3008f450f3a6db60c049cbe9b68549bad201620254e166b84f23510959ca223",
+    "60b9b0254e4b89780fa00a047a5c3289498af9d34653a58c2fc9def878a5fc4f",
+    "e3b2e43bddaba16f2ea202a5758316dca3a4515e95ed125d748ef03e7ace0a36",
+    "16a3b7ab00059edd399cc097831368ee8236299c370f920ff2f67254e8615c6a",
+    "371b3255c579f14df180c27035b53ec110b1448f22fd8b74abd35577014d1a38",
+    "f5993d26a6558548bd774e4da52228a15a0dd08d55cbb7335bdcde2fafc81942",
+    "8c179507ef48b769e2cfb1af44c2c95d48438e9f64ccf38a5d717321f3ae66ea",
+    "175a0bcf395dcfe065b58c70a5b019fe75b0d8f955b5529f42edf3645e069b2a",
+    # _cusp_behind_a_star() at p = 3, depth 5; zpn_datum(2, 2) at p = 2, depth 6
+    "0c5248a2a211c568d571ec54e221a2545429ca91f2863af2abf3fab5dabf8f8e",
+    "1df3689e96bec4af1d81234b9c1ea46c28030cf96752994cb99dca2c5115aa63",
 ]
 
 
 def test_realize_golden_clouds():
-    cases = NAMED_CASES + [(D, 3, 6) for D in sample_data(101, 4, 3, 6)]
     got = [
         hashlib.sha256(
             json.dumps(realize(D, cap, p=p).to_json()).encode()
         ).hexdigest()
-        for D, p, cap in cases
+        for D, p, cap in GOLDEN_CASES
     ]
     assert got == GOLDEN_CLOUDS
+
+
+def test_golden_clouds_pass_the_check():
+    for D, p, cap in GOLDEN_CASES[len(NAMED_CASES) + 4:]:
+        report = verify_realization(realize(D, cap, p=p), D, p, cap)
+        assert report.ok, (report.message, D)
 
 
 def test_realize_rejects_a_non_prime():

@@ -224,6 +224,85 @@ def test_isomorphism_detects_shape_differences():
     assert not is_isomorphic(a, b)
 
 
+@st.composite
+def _trees(draw, cap):
+    """A tree of the given cap: empty, or grown layer by layer with random
+    parents, so some nodes above the cap have no children; maybe labelled."""
+    if draw(st.integers(0, 7)) == 0:
+        return empty_tree(cap)
+    parents, size = [], 1
+    for _ in range(cap):
+        layer = draw(st.lists(st.integers(0, size - 1), max_size=5)) if size else []
+        parents.append(layer)
+        size = len(layer)
+    labels = None
+    if draw(st.booleans()):
+        sizes = [1] + [len(layer) for layer in parents]
+        labels = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for n in sizes]
+    return TruncTree(cap, parents, labels=labels)
+
+
+@st.composite
+def _reordered(draw, t):
+    """t with the nodes of each layer renumbered by a random permutation,
+    each node keeping its label."""
+    perms = [draw(st.permutations(range(n))) for n in t.layer_sizes()]
+    parents = []
+    for d in range(1, t.depth_cap + 1):
+        layer = [0] * len(perms[d])
+        for old, par in enumerate(t.parents[d - 1]):
+            layer[perms[d][old]] = perms[d - 1][par]
+        parents.append(layer)
+    labels = None
+    if t.labels is not None:
+        labels = [[None] * len(perm) for perm in perms]
+        for d, perm in enumerate(perms):
+            for old, new in enumerate(perm):
+                labels[d][new] = t.labels[d][old]
+    return TruncTree(t.depth_cap, parents, labels=labels, empty=t.empty)
+
+
+def _canonical(t: TruncTree, with_labels: bool):
+    """Brute-force canonical form: (label, sorted forms of the children)."""
+    if t.empty:
+        return None
+    kids = t.children_index()
+
+    def form(d, i):
+        label = t.labels[d][i] if with_labels and t.labels else None
+        below = sorted(form(d + 1, c) for c in kids[d][i]) if d < t.depth_cap else []
+        return (label, tuple(below))
+
+    return form(0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(_trees).flatmap(
+    lambda t: st.tuples(st.just(t), _reordered(t), st.integers(0, 2**32))))
+def test_isomorphism_survives_any_reordering(case):
+    t, s, seed = case
+    assert is_isomorphic(t, s) and is_isomorphic(s, t)
+    assert is_isomorphic(t, s, with_labels=True)
+    # fresh labels on the reordered copy are ignored unless asked for
+    rng = random.Random(seed)
+    relabelled = TruncTree(
+        s.depth_cap, s.parents, empty=s.empty,
+        labels=[[rng.randint(0, 3) for _ in range(n)] for n in s.layer_sizes()],
+    )
+    assert is_isomorphic(t, relabelled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda cap: st.tuples(
+    _trees(cap), st.one_of(_trees(cap), _trees(cap).flatmap(_reordered)))))
+def test_isomorphism_matches_brute_force_canonical_forms(pair):
+    a, b = pair
+    for with_labels in (False, True):
+        want = _canonical(a, with_labels) == _canonical(b, with_labels)
+        assert is_isomorphic(a, b, with_labels) is want
+        assert is_isomorphic(b, a, with_labels) is want
+
+
 def test_isomorphism_with_labels():
     a = TruncTree(1, [[0]], labels=[["r"], ["x"]])
     b = TruncTree(1, [[0]], labels=[["r"], ["y"]])
