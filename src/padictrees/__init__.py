@@ -6,6 +6,9 @@ leafless tree data, over exact arithmetic in Z/p^k.
 
 The package loads lazily: importing it loads only `errors`, and each other
 name in `__all__` imports its submodule on first use (PEP 562).
+`padictrees.realize` is the function `realize`, also once its submodule is
+loaded, so `import padictrees.realize as m` binds the function; only
+`importlib.import_module("padictrees.realize")` reaches the module.
 """
 
 import importlib

@@ -122,8 +122,6 @@ def _emit_tree(t, args) -> None:
 
 
 def _cmd_enum(args) -> int:
-    from operator import itemgetter
-
     from .enum_trees import No, Unknown, Yes, lifted_tree
     from .polysys import PolySystem
 
@@ -153,29 +151,27 @@ def _cmd_enum(args) -> int:
     )
     _emit_tree(t, args)
     if args.out:
-        # one row per listed class, layer by layer and sorted by label within
-        # a layer, written as JSON text and joined as json.dumps would; a
-        # class below a No is No too and its row is implied.  The row tail
-        # is formatted once per status object, which many classes share; a
-        # yes row points into the list of distinct certificates
-        layers = [[] for _ in range(args.depth + 1)]
-        for (d, lab), st in statuses.listed.items():
-            layers[d].append((lab, st))
+        # one row per listed class, layer by layer as the walk listed them
+        # and sorted by label within a layer, written as JSON text and
+        # joined as json.dumps would; a class below a No is No too and its
+        # row is implied.  The row tail is formatted once per status object,
+        # which many classes share; a yes row points into the list of
+        # distinct certificates
         rows, certs, tails = [], [], {}
-        for d, layer in enumerate(layers):
-            layer.sort(key=itemgetter(0))
+        for d, (labels, layer) in enumerate(zip(statuses.labels, statuses.statuses)):
             head = f'{{"depth": {d}, "label": ['
-            for lab, st in layer:
+            for i in sorted(range(len(labels)), key=labels.__getitem__):
+                st = layer[i]
                 tail = tails.get(id(st))
                 if tail is None:
                     tail = tails[id(st)] = status_tail(st, certs)
-                rows.append(f'{head}{", ".join(map(str, lab))}], "status": {tail}')
+                rows.append(f'{head}{", ".join(map(str, labels[i]))}], "status": {tail}')
         sidecar = (
             f'{{"format": 1, "certificates": {json.dumps(certs)}, '
             f'"statuses": [{", ".join(rows)}]}}'
         )
         _emit(sidecar, args.out + ".status.json")
-    unknowns = sum(isinstance(st, Unknown) for st in statuses.listed.values())
+    unknowns = sum(isinstance(st, Unknown) for layer in statuses.statuses for st in layer)
     if unknowns:
         print(f"{unknowns} Unknown statuses remain", file=sys.stderr)
         return EXIT_UNKNOWN

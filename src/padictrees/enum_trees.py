@@ -53,13 +53,14 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from functools import cached_property
+from itertools import accumulate, combinations, compress, product as iproduct
 from operator import add, mul
 
 from .errors import DomainError, NodeBudgetExceeded
 from .padic import Certified, newton_certify, pval, vec
 from .polysys import PolySystem, _int_det, shift_scale
-from .trees import Ball, Cheese, TruncTree, cheese_restrict, empty_tree, restrict
+from .trees import Ball, Cheese, TruncTree, cheese_restrict, empty_tree
 
 __all__ = [
     "Yes",
@@ -258,9 +259,9 @@ def naive_tree(
                 fx = keep[idx]
                 if fx is None:
                     continue
-            for child in children(lab, depth, fx):
-                nxt_par.append(idx)
-                nxt_lab.append(child)
+            kids = children(lab, depth, fx)
+            nxt_lab += kids
+            nxt_par += [idx] * len(kids)
         used += len(nxt_par)
         if used > node_budget:
             raise NodeBudgetExceeded(f"naive tree exceeds {node_budget} nodes")
@@ -627,18 +628,30 @@ class _Lifter:
 class _Statuses(Mapping):
     """The status of every naive class, keyed by (depth, residue label).
 
-    Only the listed classes are stored: the root and the children of the
-    classes that are not No.  A naive class below a No answers with that
-    No, found by walking its label up; iteration and len list these
-    implied classes too, with the children kernel below each listed No.
+    Only the listed classes are stored, the root and the children of the
+    classes that are not No, in the walk's layers: `labels[d]` and
+    `statuses[d]`, from which the CLI writes the sidecar.  The `listed`
+    dict, (depth, label) -> status, is built on the first keyed lookup or
+    iteration.  A naive class below a No answers with that No, found by
+    walking its label up; iteration and len list these implied classes too,
+    with the children kernel below each listed No.
     """
 
-    def __init__(self, sys: PolySystem, depth_cap: int, listed: dict, children):
+    def __init__(self, sys: PolySystem, depth_cap: int, labels, statuses, children):
         self.sys = sys
         self.depth_cap = depth_cap
-        self.listed = listed
+        self.labels = labels
+        self.statuses = statuses
         self.children = children
         self._len = None
+
+    @cached_property
+    def listed(self) -> dict:
+        return {
+            (d, lab): st
+            for d, (labs, sts) in enumerate(zip(self.labels, self.statuses))
+            for lab, st in zip(labs, sts)
+        }
 
     def _is_naive(self, key) -> bool:
         if not (isinstance(key, tuple) and len(key) == 2):
@@ -727,32 +740,36 @@ def lifted_tree(
 
     The naive tree is walked top-down (see the module docstring), and only
     the root and the children of classes that are not No are listed;
-    node_budget bounds the listed classes.  The status map stores the
-    listed classes (its `listed` dict) and answers a class below a No with
-    that No on demand.  A covering class and the classes below it are
-    decided by the cover's lookup, and every other class is resolved by a
-    search.  Yes comes from a declared witness, a Newton certificate or an
-    exact representative at the class or a descendant, or the cover; No
-    from exact exhaustion of the congruence tree, by search or by the
-    cover's count; the rest is Unknown with the budget recorded.  Each search has its own budget of `search_budget`
-    classes, so a cut search is answered but not memoised; a Yes found
-    later below a cut class still makes it Yes.
+    node_budget bounds the listed classes.  The status map keeps the walk's
+    layers of listed classes and their statuses, from which the CLI writes
+    the sidecar, and answers a class below a No with that No on demand.  A
+    covering class and the classes below it are decided by the cover's
+    lookup, and every other class is resolved by a search.  Yes comes from
+    a declared witness, a Newton certificate or an exact representative at
+    the class or a descendant, or the cover; No from exact exhaustion of
+    the congruence tree, by search or by the cover's count; the rest is
+    Unknown with the budget recorded.  Each search has its own budget of
+    `search_budget` classes, so a cut search is answered but not memoised;
+    a Yes found later below a cut class still makes it Yes.
     """
     if delta < 0:
         raise DomainError("negative certification budget")
     lifter = _Lifter(sys, depth_cap, delta, node_budget, search_budget)
-    listed = naive_tree(
-        sys, depth_cap, node_budget, expand=lifter.walk, children=lifter.children
-    )
-    status = lifter.statuses
-    statuses = _Statuses(sys, depth_cap, {
-        (d, lab): st
-        for d in range(depth_cap + 1)
-        for lab, st in zip(listed.labels[d], status[d])
-    }, lifter.children)
+    naive_tree(sys, depth_cap, node_budget, expand=lifter.walk, children=lifter.children)
+    labels, status = lifter.labels, lifter.statuses
+    statuses = _Statuses(sys, depth_cap, labels, status, lifter.children)
     if not isinstance(status[0][0], Yes):
         return empty_tree(depth_cap), statuses
-    return restrict(listed, lambda d, i: isinstance(status[d][i], Yes)), statuses
+    # Yes is closed upward (_propagate makes every ancestor of a Yes class
+    # Yes), so a listed class is in the tree exactly when its own status is
+    # Yes; at[i] is the tree index of the class i of the layer above, if Yes
+    parents, kept, at = [], [labels[0]], [0]
+    for d in range(1, depth_cap + 1):
+        yes = [isinstance(st, Yes) for st in status[d]]
+        parents.append([at[par] for par in compress(lifter.parents[d], yes)])
+        kept.append(list(compress(labels[d], yes)))
+        at = list(accumulate(yes, initial=0))
+    return TruncTree(depth_cap, parents, labels=kept), statuses
 
 
 def _reduce_content(poly, p):

@@ -159,14 +159,16 @@ class PadicVec(_Value):
     __slots__ = ("p", "prec", "res")
 
     def __init__(self, p: int, prec: int, res):
+        # the residues are read first, so an empty iterator is refused too
+        m = p**prec if prec > 0 else 1
+        res = tuple([r % m for r in res])
         if not res:
             raise DomainError("empty vector")
         if prec < 0:
             raise DomainError("precision must be non-negative")
-        m = p**prec
         _set(self, "p", p)
         _set(self, "prec", prec)
-        _set(self, "res", tuple([r % m for r in res]))
+        _set(self, "res", res)
 
     @property
     def coords(self) -> tuple[PadicApprox, ...]:

@@ -44,10 +44,9 @@ class TruncTree:
         if empty and any(parents):
             raise DomainError("empty tree with nodes")
         sizes = self.layer_sizes()
-        for d in range(1, depth_cap + 1):
-            for par in self.parents[d - 1]:
-                if not 0 <= par < sizes[d - 1]:
-                    raise DomainError(f"dangling parent link at depth {d}")
+        for d, layer in enumerate(self.parents, 1):
+            if layer and not (0 <= min(layer) and max(layer) < sizes[d - 1]):
+                raise DomainError(f"dangling parent link at depth {d}")
         self.labels = None
         if labels is not None:
             labels = [list(layer) for layer in labels]
@@ -87,7 +86,9 @@ class TruncTree:
             "parents": [list(layer) for layer in self.parents],
         }
         if self.labels is not None:
-            out["labels"] = [[_label_json(l) for l in layer] for layer in self.labels]
+            out["labels"] = [
+                [list(l) if isinstance(l, tuple) else l for l in layer] for layer in self.labels
+            ]
         return out
 
     @staticmethod
@@ -125,12 +126,6 @@ class TruncTree:
 
     def __repr__(self):
         return f"TruncTree(depth_cap={self.depth_cap}, layers={self.layer_sizes()})"
-
-
-def _label_json(l):
-    if isinstance(l, tuple):
-        return list(l)
-    return l
 
 
 def _label_unjson(l):

@@ -358,6 +358,36 @@ def test_cusp_outputs_match_their_golden_digests(tmp_path, capsys):
     assert got == _GOLDEN
 
 
+# md5 of the tree JSON and the status sidecar of `enum --depth 4` on the
+# benchmark's other shapes: y = x^2 at p = 5, x^2 = 0 at p = 3 and the
+# empty system (Z_5)
+_GOLDEN_SHAPES = {
+    "parabola-p5": (
+        make_system(5, 2, [[(1, (0, 1)), (-1, (2, 0))]], [(0, 0)]),
+        "58ed5261a3a7c851cd12e77c3ee3dd4f", "6cc36dd570ec9fbc6f6081e5ac09efa2",
+    ),
+    "double-root-p3": (
+        make_system(3, 1, [[(1, (2,))]]),
+        "b8389070c310e17c5ce587337563a6a8", "6dcbbfb9e7fc66f51eab11a6e1701283",
+    ),
+    "zp-p5": (
+        make_system(5, 1, [], allow_empty=True),
+        "ee5b5391b08ccbc28bed07f0675bfe97", "0c33bfd254fe13ecffeff84131d238dd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_SHAPES))
+def test_enum_outputs_match_their_golden_digests(tmp_path, name):
+    system, tree_md5, status_md5 = _GOLDEN_SHAPES[name]
+    src, out = tmp_path / "sys.json", tmp_path / "tree.json"
+    src.write_text(json.dumps(system.to_json()))
+    assert main(["enum", str(src), "--depth", "4", "--out", str(out)]) == 0
+    got = [hashlib.md5(path.read_bytes()).hexdigest()
+           for path in (out, tmp_path / "tree.json.status.json")]
+    assert got == [tree_md5, status_md5]
+
+
 def test_subcommands_refuse_flags_they_do_not_read(files, capsys):
     # each subcommand declares only the flags it reads
     refused = [

@@ -32,9 +32,11 @@ from padictrees.trees import (
     is_isomorphic,
     path_tree,
     product,
+    restrict,
     subtree,
     y_tree,
 )
+from test_children import _random_system
 
 
 def parabola(p):
@@ -394,6 +396,32 @@ def test_status_map_answers_exactly_the_naive_classes():
         assert key not in statuses
         with pytest.raises(KeyError):
             statuses[key]
+
+
+@pytest.mark.parametrize("search_budget", [3, 4000])
+def test_yes_is_closed_upward_and_the_tree_is_the_naive_yes_classes(search_budget):
+    # lifted_tree keeps a listed class exactly when its status is Yes, which
+    # is sound because every Yes below the root has a Yes parent
+    rng = random.Random(21)
+    for _ in range(25):
+        sys = _random_system(rng)
+        depth = rng.randint(1, 4)
+        while True:
+            try:
+                naive = naive_tree(sys, depth, node_budget=400)
+                break
+            except NodeBudgetExceeded:
+                depth -= 1
+        t, statuses = lifted_tree(sys, depth, rng.randint(0, 3), search_budget=search_budget)
+        p = sys.p
+        for (d, lab), st in statuses.listed.items():
+            if d and isinstance(st, Yes):
+                assert isinstance(statuses[d - 1, tuple(x % p ** (d - 1) for x in lab)], Yes)
+        if not isinstance(statuses[0, (0,) * sys.n], Yes):
+            assert t.empty and t.labels is None
+            continue
+        want = restrict(naive, lambda d, i: isinstance(statuses[d, naive.labels[d][i]], Yes))
+        assert t.to_json() == want.to_json(), (sys, depth)
 
 
 def test_singular_spine_is_never_hensel():

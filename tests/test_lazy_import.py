@@ -98,6 +98,14 @@ def test_realize_is_the_function_whatever_loads_first(code):
     assert _fresh(code + "print(type(realize).__name__)").strip() == "function"
 
 
+def test_only_import_module_reaches_the_realize_module():
+    ns = {}
+    exec("import importlib\nimport padictrees.realize as m\n"
+         "mod = importlib.import_module('padictrees.realize')", ns)
+    assert type(ns["m"]).__name__ == "function"
+    assert type(ns["mod"]).__name__ == "module" and ns["mod"].realize is ns["m"]
+
+
 def test_every_export_resolves_to_its_module_attribute():
     assert len(set(padictrees.__all__)) == len(padictrees.__all__)
     for name in padictrees.__all__:

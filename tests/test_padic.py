@@ -141,6 +141,11 @@ def test_value_types_check_their_arguments():
         PadicVec(3, 2, ())
     with pytest.raises(DomainError, match="empty vector"):
         PadicVec(3, -1, ())
+    with pytest.raises(DomainError, match="empty vector"):
+        PadicVec(3, 2, [])
+    with pytest.raises(DomainError, match="empty vector"):
+        PadicVec(3, 2, (x for x in []))
+    assert PadicVec(3, 2, (x for x in [-1, 9])).res == (8, 0)
 
 
 def test_value_types_are_immutable():
