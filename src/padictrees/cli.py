@@ -101,6 +101,19 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return ap
 
 
+# the payloads are fresh acyclic lists and dicts, so the encoder keeps no
+# record of the containers it is in; the text is that of json.dumps
+_dumps = json.JSONEncoder(check_circular=False).encode
+
+
+def _label_texts(labels: list) -> list[str]:
+    """The JSON text of each label of a layer inside its brackets, from one
+    encoder call.  The labels are tuples of ints, so the layer is written as
+    [[a, b], [c, d], ...] and its text split at "], [" is each label's text.
+    An empty layer has no rows, so its one empty text is never read."""
+    return _dumps(labels)[2:-2].split("], [")
+
+
 def _emit(text: str, out):
     end = "" if text.endswith("\n") else "\n"
     if out:
@@ -112,7 +125,7 @@ def _emit(text: str, out):
 
 def _emit_tree(t, args) -> None:
     if args.format == "json":
-        _emit(json.dumps(t.to_json()), args.out)
+        _emit(_dumps(t.to_json()), args.out)
     elif args.format == "dot":
         from .trees import to_dot
 
@@ -156,19 +169,30 @@ def _cmd_enum(args) -> int:
         # joined as json.dumps would; a class below a No is No too and its
         # row is implied.  The row tail is formatted once per status object,
         # which many classes share; a yes row points into the list of
-        # distinct certificates
-        rows, certs, tails = [], [], {}
-        for d, (labels, layer) in enumerate(zip(statuses.labels, statuses.statuses)):
+        # distinct certificates.  Each layer is joined to one text as it is
+        # written, so its label texts and rows are freed before the next
+        certs, tails = [], {}
+
+        def layer_rows(d, labels, layer) -> str:
             head = f'{{"depth": {d}, "label": ['
+            texts = _label_texts(labels)
+            rows = []
             for i in sorted(range(len(labels)), key=labels.__getitem__):
                 st = layer[i]
                 tail = tails.get(id(st))
                 if tail is None:
                     tail = tails[id(st)] = status_tail(st, certs)
-                rows.append(f'{head}{", ".join(map(str, labels[i]))}], "status": {tail}')
+                rows.append(f'{head}{texts[i]}], "status": {tail}')
+            return ", ".join(rows)
+
+        layers = [
+            layer_rows(d, labels, layer)
+            for d, (labels, layer) in enumerate(zip(statuses.labels, statuses.statuses))
+        ]
+        # a layer with no listed class gives an empty text, which is no row
         sidecar = (
-            f'{{"format": 1, "certificates": {json.dumps(certs)}, '
-            f'"statuses": [{", ".join(rows)}]}}'
+            f'{{"format": 1, "certificates": {_dumps(certs)}, '
+            f'"statuses": [{", ".join(filter(None, layers))}]}}'
         )
         _emit(sidecar, args.out + ".status.json")
     unknowns = sum(isinstance(st, Unknown) for layer in statuses.statuses for st in layer)
@@ -206,7 +230,7 @@ def _cmd_expand(args) -> int:
 
 def _emit_coeffs(coeffs: list, args) -> int:
     if args.format == "json":
-        _emit(json.dumps({"format": 1, "coeffs": coeffs}), args.out)
+        _emit(_dumps({"format": 1, "coeffs": coeffs}), args.out)
     else:
         _emit(" ".join(str(c) for c in coeffs), args.out)
     return EXIT_OK
@@ -233,7 +257,7 @@ def _cmd_poincare(args) -> int:
     if args.coeffs is not None:
         return _emit_coeffs([str(c) for c in expand_series(f, args.coeffs)], args)
     if args.format == "json":
-        _emit(json.dumps(f.to_json()), args.out)
+        _emit(_dumps(f.to_json()), args.out)
     else:
         _emit(str(f), args.out)
     return EXIT_OK
@@ -271,7 +295,7 @@ def _cmd_realize(args) -> int:
 
     D = TreeDatum.load(args.datum)
     cloud = realize(D, args.depth, p=args.p)
-    _emit(json.dumps(cloud.to_json()), args.out)
+    _emit(_dumps(cloud.to_json()), args.out)
     if args.check:
         report = verify_realization(cloud, D, args.p, args.depth)
         print(report.message, file=sys.stderr)

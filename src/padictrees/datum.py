@@ -28,6 +28,7 @@ from .errors import (
     NodeBudgetExceeded,
     ParameterOutsideDomain,
     PieceNotFound,
+    _json_int,
 )
 from .gamma import (
     INFINITY,
@@ -292,11 +293,11 @@ class TreeDatum:
             if key not in data:
                 raise DomainError(f"tree datum field {key!r} is missing")
         sk = data["skeleton"]
-        if not (isinstance(sk, dict) and isinstance(sk.get("parents"), list)
+        if not (isinstance(sk, dict) and _int_list(sk.get("parents"))
                 and _objects_with(sk.get("bones"), "len")):
             raise DomainError(
                 "tree datum field 'skeleton' must be an object with a list "
-                "'parents' and a list 'bones' of objects with 'len'"
+                "'parents' of integers and a list 'bones' of objects with 'len'"
             )
         for key, fields in _BRANCH_FIELDS.items():
             if not _objects_with(data[key], *fields):
@@ -310,20 +311,23 @@ class TreeDatum:
             for bone in sk["bones"]
         )
         return TreeDatum(
-            level=int(data["level"]),
-            m=int(data["m"]),
+            level=_json_int(data["level"], "tree datum field 'level'"),
+            m=_json_int(data["m"], "tree datum field 'm'"),
             domain=_read(
                 "tree datum field 'domain'", GammaSet.from_json, data["domain"]
             ),
-            rho=int(data["rho"]),
+            rho=_json_int(data["rho"], "tree datum field 'rho'"),
             skeleton=SkeletonDatum(parents, lengths),
             joint_branches=tuple(
-                (int(item["joint"]), _read("a joint branch", _branch_from_json, item))
+                (
+                    _json_int(item["joint"], "joint branch field 'joint'"),
+                    _read("a joint branch", _branch_from_json, item),
+                )
                 for item in data["joint_branches"]
             ),
             bone_branches=tuple(
                 (
-                    int(item["bone"]),
+                    _json_int(item["bone"], "bone branch field 'bone'"),
                     _read(
                         "bone branch field 'piece'", GammaCell.from_json, item["piece"]
                     ),
@@ -356,6 +360,11 @@ def _read(what: str, read, value):
         raise DomainError(f"{what}: {exc}") from None
 
 
+def _int_list(value) -> bool:
+    """Whether value is a JSON list of integers (true and false are not)."""
+    return isinstance(value, list) and all(type(i) is int for i in value)
+
+
 def _branch_json(br: SideBranchDatum) -> dict:
     # a run of k > 1 consecutive equal leaves is written once, with
     # "repeat": k, so a star branch holds one copy of its side datum
@@ -373,9 +382,10 @@ def _branch_from_json(item: dict) -> SideBranchDatum:
     # a run, and a leaf equal to the previous one (files written without
     # "repeat"), reuse one datum, so a loaded star branch shares one object
     # per side datum as star_branch does
-    if not (isinstance(item["fintree"], list) and _objects_with(item["leaves"], "side")):
+    if not (_int_list(item["fintree"]) and _objects_with(item["leaves"], "side")):
         raise DomainError(
-            "'fintree' must be a list and 'leaves' a list of objects with 'side'"
+            "'fintree' must be a list of integers and 'leaves' a list of "
+            "objects with 'side'"
         )
     leaf_data = []
     prev = None
@@ -385,7 +395,7 @@ def _branch_from_json(item: dict) -> SideBranchDatum:
             d = leaf_data[-1]
         else:
             d = TERMINAL if side == "terminal" else TreeDatum.from_json(side)
-        k = int(leaf.get("repeat", 1))
+        k = _json_int(leaf.get("repeat", 1), "leaf field 'repeat'")
         if k < 1:
             raise InvalidDatum(f"leaf repeat {k} is not positive")
         leaf_data.extend([d] * k)

@@ -24,6 +24,7 @@ from .errors import (
     NonIntegral,
     NonIntegralExponent,
     UnboundedBelow,
+    _json_int,
 )
 from .ratfun import RationalGF, gf_sum, gf_zero
 
@@ -67,7 +68,7 @@ class LinearFn:
     def value(self, point) -> Fraction:
         if len(point) < len(self.coeffs):
             raise DomainError("point has too few coordinates")
-        total = Fraction(self.const)
+        total = self.const
         for a, k in zip(self.coeffs, point):
             if a:
                 total += a * k
@@ -168,7 +169,12 @@ def linear_from_json(item):
             f"a linear form must be \"inf\" or an object with a list 'a' and 'b', "
             f"not {item!r}"
         )
-    return linear(item["a"], item["b"])
+    try:
+        return linear(item["a"], item["b"])
+    except TypeError:
+        raise DomainError(
+            f"a linear form's 'a' and 'b' must be numbers or fraction strings, not {item!r}"
+        ) from None
 
 
 def eval_linear(fn, point):
@@ -247,7 +253,10 @@ class GammaCell:
             (linear_from_json(item["lo"]), linear_from_json(item["hi"]))
             for item in data["bounds"]
         ]
-        cong = tuple((int(c["r"]), int(c["rho"])) for c in data["cong"])
+        cong = tuple(
+            (_json_int(c["r"], "cell field 'r'"), _json_int(c["rho"], "cell field 'rho'"))
+            for c in data["cong"]
+        )
         return GammaCell(tuple(bounds), cong)
 
 
@@ -298,7 +307,7 @@ class GammaSet:
         if not (isinstance(data, dict) and isinstance(data.get("cells"), list)):
             raise DomainError(f"a set must be an object with a list 'cells', not {data!r}")
         cells = tuple(GammaCell.from_json(c) for c in data["cells"])
-        m = int(data["m"]) if "m" in data else (cells[0].m if cells else 0)
+        m = _json_int(data["m"], "set field 'm'") if "m" in data else (cells[0].m if cells else 0)
         return GammaSet(cells, m)
 
     @staticmethod

@@ -79,6 +79,8 @@ class TruncTree:
         return self.labels[depth][index]
 
     def to_json(self) -> dict:
+        """The tree as a JSON document.  Labels are returned as stored (a
+        tuple label stays a tuple), and JSON writes a tuple as an array."""
         out = {
             "format": 1,
             "depth_cap": self.depth_cap,
@@ -86,9 +88,7 @@ class TruncTree:
             "parents": [list(layer) for layer in self.parents],
         }
         if self.labels is not None:
-            out["labels"] = [
-                [list(l) if isinstance(l, tuple) else l for l in layer] for layer in self.labels
-            ]
+            out["labels"] = [list(layer) for layer in self.labels]
         return out
 
     @staticmethod

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from padictrees.cli import _DISPATCH, _UsageError, build_parser, main
+from padictrees.cli import _DISPATCH, _UsageError, _label_texts, build_parser, main
 from padictrees.datum import cusp_datum, point_datum, y_datum
 from padictrees.enum_trees import No, Yes, lifted_tree
 from padictrees.polysys import cusp_system, make_system
@@ -331,6 +331,21 @@ def test_enum_sidecar_matches_a_json_dumps_writer(tmp_path, capsys, system, dept
     assert got == _reference_sidecar(statuses)
     rows = json.loads(got)["statuses"]
     assert {row.get("kind", row["status"]) for row in rows} == kinds
+
+
+@pytest.mark.parametrize("labels", [
+    [(0,)],
+    [(3,), (0,), (2**64 + 1,)],
+    [(1, 2), (0, 2**70), (2**64, 5)],
+    [(1, 2, 3), (2**65 + 3, 0, 7)],
+    [],
+])
+def test_label_texts_match_a_join_of_each_label(labels):
+    texts = _label_texts(labels)
+    if labels:
+        assert texts == [", ".join(map(str, lab)) for lab in labels]
+    else:
+        assert texts == [""]  # an empty layer has no rows to read it
 
 
 # md5 of the outputs on the cusp x^3 = y^2 with its witness at p = 3, depth

@@ -192,6 +192,42 @@ def test_malformed_datum_json_is_an_input_error(tmp_path, capsys):
             assert field in err and "Traceback" not in err
 
 
+def test_malformed_datum_numbers_are_input_errors(tmp_path, capsys):
+    # a null, list, bool or float integer field, a parent or fintree entry
+    # that is not an integer, or a linear form with a null or list number,
+    # used to raise TypeError or be read as an int
+    good = zpn_datum(1, 3).to_json()
+    joint = good["joint_branches"][0]
+    leaf = joint["leaves"][0]
+    sk = good["skeleton"]
+    cell = good["domain"]["cells"][0]
+    path = tmp_path / "bad.datum.json"
+    for bad, field in (
+        ({**good, "m": None}, "'m'"),
+        ({**good, "rho": []}, "'rho'"),
+        ({**good, "rho": True}, "'rho'"),
+        ({**good, "level": 1.5}, "'level'"),
+        ({**good, "joint_branches": [{**joint, "joint": None}]}, "'joint'"),
+        ({**good, "skeleton": {**sk, "parents": [-1, "a"]}}, "'parents'"),
+        ({**good, "joint_branches": [{**joint, "fintree": [-1, 0, None]}]}, "'fintree'"),
+        ({**good, "joint_branches": [{**joint, "leaves": [{**leaf, "repeat": "x"}]}]}, "'repeat'"),
+        ({**good, "domain": {**good["domain"], "m": None}}, "'m'"),
+        ({**good, "domain": {"cells": [{**cell, "cong": [{"r": None, "rho": 1}]}]}}, "'r'"),
+        ({**good, "skeleton": {**sk, "bones": [{**sk["bones"][0], "len": {"a": [], "b": None}}]}},
+         "'len'"),
+    ):
+        path.write_text(json.dumps(bad))
+        for argv in (
+            ["expand", str(path), "--p", "3", "--depth", "2"],
+            ["realize", str(path), "--p", "3", "--depth", "2"],
+            ["poincare", "--datum", str(path)],
+        ):
+            assert main(argv) == 2, (argv, bad)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert field in err and "Traceback" not in err
+
+
 def test_non_prime_p_rejected_by_expand_and_poincare(tmp_path, capsys):
     path = tmp_path / "y.json"
     path.write_text(json.dumps(y_datum(1, m=0).to_json()))

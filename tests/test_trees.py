@@ -1,11 +1,14 @@
 """Tests for truncated trees: constructions, isomorphism, cheese surgery."""
 
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padictrees.datum import cusp_datum, expand
 from padictrees.errors import (
     DepthMismatch,
     DomainError,
@@ -317,6 +320,52 @@ def test_json_round_trip():
     assert t2.to_json() == t.to_json()
     e = TruncTree.from_json(empty_tree(2).to_json())
     assert e.empty
+
+
+# md5 of json.dumps(t.to_json()) for the trees below, taken while to_json
+# still copied each tuple label into a list; returning the labels as stored
+# must not change a byte, since JSON writes a tuple as an array
+_BIG = 2**64 + 7
+_TO_JSON_MD5 = {
+    "from_points": "ecb2fb81233ed74ac8ee90bdb6fc1b55",
+    "loaded": "bbbb21eaaa9fe1893063960b1f956228",
+    "int_labels": "b72c206b664305d37f1b9efdac66cb51",
+    "expand": "4f8f8eb82d76783f97ee3e4f450b5e0b",
+}
+
+
+def _to_json_trees():
+    return {
+        "from_points": from_points(
+            [vec(5, 6, [1, 2, 3]), vec(5, 6, [26, 2, 3]), vec(5, 6, [1, 7, 128])],
+            Ball((1, 2, 3), 0), 4,
+        ),
+        "loaded": TruncTree.from_json({
+            "format": 1, "depth_cap": 2, "layers": [[0], [0, 1], [0, 1, 2]],
+            "parents": [[0, 0], [0, 1, 1]],
+            "labels": [[[]], [[_BIG], [3]], [[_BIG, 1], [3, _BIG * _BIG], [-4, 0]]],
+        }),
+        "int_labels": TruncTree(
+            2, [[0, 0], [0, 1, 1]], labels=[[0], [_BIG, -1], [2, 3, _BIG * 5]]
+        ),
+        "expand": expand(cusp_datum(5), (), 5, 4),
+    }
+
+
+def test_to_json_text_is_unchanged():
+    got = {
+        name: hashlib.md5(json.dumps(t.to_json()).encode()).hexdigest()
+        for name, t in _to_json_trees().items()
+    }
+    assert got == _TO_JSON_MD5
+
+
+def test_to_json_round_trips_parents_and_labels():
+    for name, t in _to_json_trees().items():
+        t2 = TruncTree.from_json(t.to_json())
+        assert t2.parents == t.parents, name
+        assert t2.labels == t.labels, name
+        assert t2.layer_sizes() == t.layer_sizes(), name
 
 
 def test_label_access():
