@@ -1028,9 +1028,9 @@ def _fix_cell(c: GammaCell, idx: int, value: int):
     if not lo.is_constant() or (hi is not INFINITY and not hi.is_constant()):
         raise DomainError("cannot specialize a coordinate with dependent bounds")
     r, rho = c.cong[idx]
-    if value % rho != r or Fraction(value) < lo.const:
+    if value % rho != r or value < lo.const:
         return None
-    if hi is not INFINITY and Fraction(value) > hi.const:
+    if hi is not INFINITY and value > hi.const:
         return None
     bounds = []
     for i, (lo_i, hi_i) in enumerate(c.bounds):

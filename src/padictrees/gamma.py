@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import product as iproduct, zip_longest
 from math import ceil, floor as _floor, gcd, lcm
 
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     UnboundedBelow,
     _json_int,
 )
-from .ratfun import RationalGF, gf_sum, gf_zero
+from .ratfun import RationalGF, _coef, gf_sum, gf_zero
 
 
 class _Infinity:
@@ -46,6 +46,13 @@ INFINITY = _Infinity()
 class LinearFn:
     """a_1 k_1 + ... + a_j k_j + b with rational coefficients.
 
+    Each coefficient and the constant is an int where it is integral and a
+    Fraction only where a non-integer enters: the constructors and
+    operations below normalise every number they build with ratfun._coef.
+    A form built directly from integral Fractions still equals, and hashes
+    like, its int twin.  value() returns an int exactly when the value is
+    integral.
+
     The arity j is the length of coeffs; a form is read as padded with zero
     coefficients on any longer point.  Operations and the arity of their
     results:
@@ -59,38 +66,37 @@ class LinearFn:
       f = (sum a_i k_i + b) / e and e the least common denominator.
     """
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    coeffs: tuple[int | Fraction, ...]
+    const: int | Fraction
 
     def arity(self) -> int:
         return len(self.coeffs)
 
-    def value(self, point) -> Fraction:
+    def value(self, point) -> int | Fraction:
         if len(point) < len(self.coeffs):
             raise DomainError("point has too few coordinates")
         total = self.const
         for a, k in zip(self.coeffs, point):
             if a:
                 total += a * k
-        return total
+        return _coef(total)
 
     def is_constant(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other) -> "LinearFn":
         """Sum; the shorter coefficient tuple is padded with zeros."""
         if not isinstance(other, LinearFn):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            return LinearFn(self.coeffs, self.const + other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        coeffs = tuple(x + y for x, y in zip(a, b)) + a[len(b) :]
-        return LinearFn(coeffs, self.const + other.const)
+            other = LinearFn((), other)
+        coeffs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return LinearFn(
+            tuple(_coef(x + y) for x, y in coeffs), _coef(self.const + other.const)
+        )
 
     def __neg__(self) -> "LinearFn":
-        return LinearFn(tuple(-a for a in self.coeffs), -self.const)
+        return LinearFn(tuple(_coef(-a) for a in self.coeffs), _coef(-self.const))
 
     def __sub__(self, other) -> "LinearFn":
         return self + -other
@@ -98,13 +104,13 @@ class LinearFn:
     def __mul__(self, c) -> "LinearFn":
         if not isinstance(c, (int, Fraction)):
             return NotImplemented
-        return LinearFn(tuple(a * c for a in self.coeffs), self.const * c)
+        return LinearFn(tuple(_coef(a * c) for a in self.coeffs), _coef(self.const * c))
 
     def compose(self, forms) -> "LinearFn":
         """The form with forms[i] substituted for k_i, summed in one pass."""
         if len(forms) < len(self.coeffs):
             raise DomainError("fewer forms than coordinates")
-        coeffs = [Fraction(0)] * max((len(g.coeffs) for g in forms), default=0)
+        coeffs = [0] * max((len(g.coeffs) for g in forms), default=0)
         const = self.const
         for a, g in zip(self.coeffs, forms):
             if a:
@@ -112,7 +118,7 @@ class LinearFn:
                     if c:
                         coeffs[t] += a * c
                 const += a * g.const
-        return LinearFn(tuple(coeffs), const)
+        return LinearFn(tuple(map(_coef, coeffs)), _coef(const))
 
     def integral(self):
         """(integer coeffs, integer const, e): the form times its least
@@ -131,18 +137,18 @@ class LinearFn:
 
 
 def linear(coeffs, const=0) -> LinearFn:
-    return LinearFn(tuple(Fraction(a) for a in coeffs), Fraction(const))
+    return LinearFn(tuple(map(_coef, coeffs)), _coef(const))
 
 
 def const_fn(value, arity=0) -> LinearFn:
-    return LinearFn((Fraction(0),) * arity, Fraction(value))
+    return LinearFn((0,) * arity, _coef(value))
 
 
 def var(i: int, arity: int) -> LinearFn:
     """The coordinate form k_{i+1} of the given arity."""
     if not 0 <= i < arity:
         raise DomainError(f"no coordinate {i} in arity {arity}")
-    return LinearFn(tuple(Fraction(int(j == i)) for j in range(arity)), Fraction(0))
+    return LinearFn(tuple(int(j == i) for j in range(arity)), 0)
 
 
 def linear_json(fn):
@@ -169,12 +175,19 @@ def linear_from_json(item):
             f"a linear form must be \"inf\" or an object with a list 'a' and 'b', "
             f"not {item!r}"
         )
-    try:
-        return linear(item["a"], item["b"])
-    except TypeError:
+    def number(x):
+        # linear_json writes strings; a JSON integer is read too, but not a
+        # bool or a float
+        if isinstance(x, (int, str)) and not isinstance(x, bool):
+            try:
+                return _coef(x)
+            except (ValueError, ZeroDivisionError):
+                pass
         raise DomainError(
-            f"a linear form's 'a' and 'b' must be numbers or fraction strings, not {item!r}"
-        ) from None
+            f"a linear form's 'a' and 'b' must be integers or fraction strings, not {item!r}"
+        )
+
+    return LinearFn(tuple(map(number, item["a"])), number(item["b"]))
 
 
 def eval_linear(fn, point):
@@ -262,7 +275,8 @@ class GammaCell:
 
 def cell(bounds, cong=None) -> GammaCell:
     """Convenience constructor; bounds entries are (lo, hi) with int/Fraction
-    shortcuts, cong defaults to no condition (r=0 mod 1)."""
+    shortcuts for constant forms (stored as an int where integral), cong
+    defaults to no condition (r=0 mod 1)."""
     bnds = []
     for i, (lo, hi) in enumerate(bounds):
         if not isinstance(lo, LinearFn):
@@ -510,8 +524,8 @@ def _subst(exps, k, g):
         coeffs[k] = 0
         for t, b in enumerate(g.coeffs):
             if b:
-                coeffs[t] += a * b
-        out.append(LinearFn(tuple(coeffs), e.const + a * g.const))
+                coeffs[t] = _coef(coeffs[t] + a * b)
+        out.append(LinearFn(tuple(coeffs), _coef(e.const + a * g.const)))
     return tuple(out)
 
 

@@ -168,7 +168,21 @@ def _poly_str(p: Poly, variables) -> str:
 
 
 def _coef(value) -> int | Fraction:
-    """value as an exact coefficient: an int when it is integral."""
+    """value as an exact number: an int when it is integral, else a
+    Fraction.  The one normaliser of GF coefficients here and of the
+    coefficients and values of gamma's linear forms.
+
+    An int is returned as it is and a string of ASCII digits with an
+    optional sign is read by int(); anything else goes through Fraction(),
+    which both of those agree with.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        s = value.strip()
+        digits = s[1:] if s[:1] in ("+", "-") else s
+        if digits.isascii() and digits.isdigit():
+            return int(s)
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
 

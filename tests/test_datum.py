@@ -1,7 +1,10 @@
 """Tests for tree data: validation, expansion, builtins, derived data."""
 
+import dataclasses
+import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,10 +35,12 @@ from padictrees.errors import (
     ParameterOutsideDomain,
     PieceNotFound,
 )
+from padictrees.poincare import datum_poincare
 from padictrees.gamma import (
     INFINITY,
     GammaCell,
     GammaSet,
+    LinearFn,
     const_fn,
     interval_cell,
     linear,
@@ -398,3 +403,60 @@ def test_level_wrapping_invariance():
     D1 = dataclasses.replace(D, level=1)
     assert validate(D1) == []
     assert is_isomorphic(expand(D, (), 3, 6), expand(D1, (), 3, 6))
+
+
+def _twin(obj, mixed=False):
+    """obj with every linear form rebuilt from Fractions, integral ones
+    included; with mixed, only those of every second side datum of each side
+    branch, so that int and Fraction forms of equal data meet in the memos."""
+    if isinstance(obj, LinearFn):
+        return obj if mixed else LinearFn(tuple(map(Fraction, obj.coeffs)), Fraction(obj.const))
+    if mixed and isinstance(obj, SideBranchDatum):
+        sides = tuple(_twin(d, i % 2 == 0) for i, d in enumerate(obj.leaf_data))
+        return SideBranchDatum(obj.parents, sides)
+    if isinstance(obj, tuple):
+        return tuple(_twin(x, mixed) for x in obj)
+    if dataclasses.is_dataclass(obj):
+        return type(obj)(**{f.name: _twin(getattr(obj, f.name), mixed)
+                            for f in dataclasses.fields(obj)})
+    return obj
+
+
+def test_fraction_built_forms_give_the_int_results():
+    # forms built from integral Fractions equal and hash like their int
+    # twins, and give the same series text and expansion JSON
+    even = GammaSet((GammaCell(((const_fn(0), INFINITY),), ((0, 2),)),), 1)
+    cases = [(builtin("cusp", 3), ()), (builtin("zpn(2)", 3), ()),
+             (y_datum(linear([Fraction(1, 2)], 1), m=1, domain=even), (4,))]
+    cases += [(D, ()) for D in sample_data(3, 4, 3, 6)]
+    for D, kappa in cases:
+        want_gf = str(datum_poincare(D, 3))
+        want_tree = json.dumps(expand(D, kappa, 3, 6).to_json())
+        for twin in (_twin(D), _twin(D, mixed=True)):
+            assert twin == D and hash(twin) == hash(D)
+            assert str(datum_poincare(twin, 3)) == want_gf
+            assert json.dumps(expand(twin, kappa, 3, 6).to_json()) == want_tree
+    # the twin really holds Fractions where the original holds ints
+    bound = _twin(builtin("zp", 3)).bone_branches[0][1].bounds[0][0]
+    assert type(bound.const) is Fraction
+
+
+@pytest.mark.parametrize("name, p, digest", [
+    ("point", 3, "048bc10bc2b797cf38b3b127f1782d1f"),
+    ("zp", 3, "a51d679e047c566c44740933a723376a"),
+    ("zpn(2)", 5, "df6d6b6ad820bd5793ae245935330b5f"),
+    ("cusp", 3, "f50c72f13f36a0489c046888c7f87c31"),
+    ("cusp", 5, "c14cca7da24718decd44bdaf7db43e23"),
+    ("y(3)", 3, "3d2d542c2619fedb9f3fea15e092e83c"),
+])
+def test_builtin_datum_json_is_unchanged(name, p, digest):
+    # md5 of the JSON text of each builtin, taken while forms held Fractions
+    text = json.dumps(builtin(name, p).to_json())
+    assert hashlib.md5(text.encode()).hexdigest() == digest
+
+
+def test_rational_datum_json_is_unchanged():
+    D = y_datum(linear([Fraction(1, 2)], 1), m=1)
+    text = json.dumps(D.to_json())
+    assert hashlib.md5(text.encode()).hexdigest() == "20c329ae4efdfe0b5b9a57a1a24f28a8"
+    assert TreeDatum.from_json(json.loads(text)) == D

@@ -88,7 +88,7 @@ def test_linear_fn_value_is_the_exact_sum():
         point = [rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 2)])
                  for _ in range(n + rng.randint(0, 1))]
         got = linear(coeffs, const).value(point)
-        assert type(got) is Fraction
+        assert type(got) is (int if got.denominator == 1 else Fraction)
         assert got == const + sum(a * k for a, k in zip(coeffs, point))
 
 

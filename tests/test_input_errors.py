@@ -1,12 +1,14 @@
 """Malformed input fails with a DomainError, and with exit code 2 in the CLI."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from padictrees.cli import main
 from padictrees.datum import y_datum, zpn_datum
 from padictrees.errors import PRIME_LIMIT, DomainError, _is_prime
+from padictrees.gamma import linear, linear_from_json
 from padictrees.padic import pval
 from padictrees.poincare import datum_poincare
 from padictrees.polysys import PolySystem, make_system
@@ -226,6 +228,44 @@ def test_malformed_datum_numbers_are_input_errors(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, err
             assert field in err and "Traceback" not in err
+
+
+def test_linear_form_numbers_are_integers_or_fraction_strings(tmp_path, capsys):
+    # a bool or float entry of a form was read as a number, and a malformed
+    # string or a zero denominator escaped without naming the form
+    good = zpn_datum(1, 3).to_json()
+    sk = good["skeleton"]
+    bone = good["bone_branches"][0]
+    piece = bone["piece"]
+    path = tmp_path / "bad.datum.json"
+    for form in (
+        {"a": [True], "b": "1"},
+        {"a": [], "b": 0.1},
+        {"a": [], "b": "--3"},
+        {"a": [], "b": "1/0"},
+        {"a": [], "b": False},
+    ):
+        with pytest.raises(DomainError, match="linear form"):
+            linear_from_json(form)
+        for bad, field in (
+            ({**good, "skeleton": {**sk, "bones": [{**sk["bones"][0], "len": form}]}},
+             "'len'"),
+            ({**good, "bone_branches": [
+                {**bone, "piece": {**piece, "bounds": [{"lo": form, "hi": "inf"}]}}]},
+             "'piece'"),
+        ):
+            path.write_text(json.dumps(bad))
+            for argv in (
+                ["expand", str(path), "--p", "3", "--depth", "2"],
+                ["realize", str(path), "--p", "3", "--depth", "2"],
+                ["poincare", "--datum", str(path)],
+            ):
+                assert main(argv) == 2, (argv, bad)
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and err.count("\n") == 1, err
+                assert field in err and repr(form) in err and "Traceback" not in err
+    # JSON integers and the strings linear_json writes are read exactly
+    assert linear_from_json({"a": [3, "-1/2", " 4 "], "b": "6/3"}) == linear([3, Fraction(-1, 2), 4], 2)
 
 
 def test_non_prime_p_rejected_by_expand_and_poincare(tmp_path, capsys):

@@ -21,9 +21,12 @@ from padictrees.errors import DomainError
 from padictrees.gamma import (
     INFINITY,
     LinearFn,
+    _subst,
     const_fn,
     eval_linear,
     linear,
+    linear_from_json,
+    linear_json,
     merge_cong,
     var,
     whole_quadrant,
@@ -182,7 +185,8 @@ def test_compose_substitutes(case):
     h = f.compose(forms)
     assert h.value(x) == f.value([g.value(x) for g in forms])
     assert h.arity() == max((g.arity() for g in forms), default=0)
-    assert all(isinstance(a, Fraction) for a in h.coeffs + (h.const,))
+    assert all(type(a) is (int if a.denominator == 1 else Fraction)
+               for a in h.coeffs + (h.const,))
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,7 +206,37 @@ def test_linear_fn_arithmetic_agrees_with_value(n, m, data):
     ):
         assert h.value(x) == want
         assert h.arity() == arity
-        assert all(isinstance(a, Fraction) for a in h.coeffs + (h.const,))
+        assert all(type(a) is (int if a.denominator == 1 else Fraction)
+                   for a in h.coeffs + (h.const,))
+
+
+def _canonical(x) -> bool:
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_every_built_form_and_value_is_canonical(n, data):
+    # an int where a number is integral and a Fraction only where it is not,
+    # also when the inputs are integral Fractions (raw holds them)
+    numbers = st.lists(_scalars, min_size=n, max_size=n)
+    f = linear(data.draw(numbers), data.draw(_scalars))
+    raw, g = data.draw(_forms(n)), data.draw(_forms(data.draw(st.integers(0, 3))))
+    c = data.draw(_scalars)
+    k = data.draw(st.integers(0, n - 1))
+    inner = linear(data.draw(st.lists(_scalars, min_size=k, max_size=k)), data.draw(_scalars))
+    built = [
+        f, const_fn(c, n), *(var(i, n) for i in range(n)),
+        raw + g, raw - g, -raw, raw * c, raw + c, raw - c,
+        raw.compose([g] * n), linear_from_json(linear_json(raw)),
+        linear_from_json({"a": [int(a) for a in raw.coeffs], "b": str(raw.const)}),
+        # _subst keeps the coefficients it does not touch, so from canonical forms
+        *_subst((f, var(k, n), raw * 1), k, inner),
+    ]
+    x = data.draw(st.lists(_scalars, min_size=3, max_size=3))
+    for h in built:
+        assert all(map(_canonical, h.coeffs + (h.const,))), h
+        assert _canonical(h.value(x))
 
 
 @settings(max_examples=100, deadline=None)

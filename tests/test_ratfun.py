@@ -9,6 +9,7 @@ import pytest
 from padictrees.errors import DomainError
 from padictrees.ratfun import (
     RationalGF,
+    _coef,
     expand_series,
     gf_add,
     gf_const,
@@ -191,3 +192,22 @@ def test_non_integer_coefficients_stay_exact():
     assert expand_series(gf_mul(g, geo()), 4) == half_even
     assert g.to_json()["numerator"] == [{"e": [0], "c": "1/2"}, {"e": [1], "c": "-1/2"}]
     assert RationalGF.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("text", [
+    " 3 ", "+3", "-0", "\u0663", "1_000", "3/1", "1.5", "1e2", "--3", "", "0x10",
+    "\x1c7\x1c", "+", "1/0", "1" * 5000,
+])
+def test_coef_reads_a_string_as_fraction_does(text):
+    # the int() fast path for digit strings gives Fraction's value, or its
+    # exception, on every string
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _coef(text)
+        assert type(got.value) is type(exc)
+        return
+    got = _coef(text)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
