@@ -198,23 +198,14 @@ class TreeDatum:
                 raise InvalidDatum("bone piece must have m+1 coordinates")
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         # cached: star branches repeat one side datum many times, and the
         # generated hash would walk every copy on every call
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(
-                (
-                    self.level,
-                    self.m,
-                    self.domain,
-                    self.rho,
-                    self.skeleton,
-                    self.joint_branches,
-                    self.bone_branches,
-                )
-            )
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.level, self.m, self.domain, self.rho, self.skeleton,
+                     self.joint_branches, self.bone_branches))
 
     @cached_property
     def skeleton_table(self) -> "SkeletonTable":

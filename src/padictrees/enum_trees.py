@@ -289,15 +289,10 @@ def _norm_state(polys_k, p):
             continue
         v = min(pval(p, c) for c, _ in items)
         if v:
+            # 0 < c < p^K, so v < K and every c // p^v stays nonzero mod p^(K-v)
             K -= v
-            if K <= 0:
-                continue
-            mod = p**K
             q = p**v
-            items = [(c // q % mod, e) for c, e in items]
-            items = [(c, e) for c, e in items if c]
-            if not items:
-                continue
+            items = [(c // q, e) for c, e in items]
         if all(not any(e) for _, e in items):
             return None
         state.append((tuple(sorted(items, key=lambda t: t[1])), K))
@@ -643,7 +638,6 @@ class _Statuses(Mapping):
         self.labels = labels
         self.statuses = statuses
         self.children = children
-        self._len = None
 
     @cached_property
     def listed(self) -> dict:
@@ -703,9 +697,11 @@ class _Statuses(Mapping):
             yield key
 
     def __len__(self) -> int:
-        if self._len is None:
-            self._len = len(self.listed) + sum(1 for _ in self.implied())
         return self._len
+
+    @cached_property
+    def _len(self) -> int:
+        return len(self.listed) + sum(1 for _ in self.implied())
 
     def items(self):
         return _StatusItems(self)

@@ -26,7 +26,7 @@ from .errors import (
     UnboundedBelow,
     _json_int,
 )
-from .ratfun import RationalGF, _coef, gf_sum, gf_zero
+from .ratfun import RationalGF, _coef, _json_coef, gf_sum, gf_zero
 
 
 class _Infinity:
@@ -175,19 +175,8 @@ def linear_from_json(item):
             f"a linear form must be \"inf\" or an object with a list 'a' and 'b', "
             f"not {item!r}"
         )
-    def number(x):
-        # linear_json writes strings; a JSON integer is read too, but not a
-        # bool or a float
-        if isinstance(x, (int, str)) and not isinstance(x, bool):
-            try:
-                return _coef(x)
-            except (ValueError, ZeroDivisionError):
-                pass
-        raise DomainError(
-            f"a linear form's 'a' and 'b' must be integers or fraction strings, not {item!r}"
-        )
-
-    return LinearFn(tuple(map(number, item["a"])), number(item["b"]))
+    what = f"an entry of the linear form {item!r}"
+    return LinearFn(tuple(_json_coef(x, what) for x in item["a"]), _json_coef(item["b"], what))
 
 
 def eval_linear(fn, point):

@@ -3,6 +3,10 @@
 Values represent elements of Z_p known modulo p^prec.  All operations are
 pure; precision loss (e-th root extraction loses v(e) digits) is tracked
 explicitly in the returned value, never silently.
+
+The value types PadicApprox and PadicVec are slotted frozen dataclasses with
+a hand-written __init__ that checks, reduces and sets each field once: the
+witness-cloud synthesis builds one value per point.
 """
 
 from __future__ import annotations
@@ -43,50 +47,16 @@ def is_finite(v: Valuation) -> bool:
     return isinstance(v, int)
 
 
-class _Value:
-    """Base of the immutable p-adic values.
-
-    A subclass names its fields in __slots__ and sets each once, in its
-    __init__; equality, hash, repr and the refusal to assign are those of a
-    frozen dataclass over the same fields.  A value costs about half as much
-    to build as a frozen dataclass, and the witness-cloud synthesis builds
-    one per point.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({args})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+_set = object.__setattr__  # how a frozen dataclass's __init__ sets a field
 
 
-_set = object.__setattr__
+@dataclass(frozen=True, slots=True, init=False)
+class PadicApprox:
+    """An element of Z_p known modulo p^prec, its residue reduced."""
 
-
-class PadicApprox(_Value):
-    """An element of Z_p known modulo p^prec."""
-
-    __slots__ = ("p", "prec", "residue")
+    p: int
+    prec: int
+    residue: int
 
     def __init__(self, p: int, prec: int, residue: int):
         if prec < 0:
@@ -152,11 +122,14 @@ def from_rational(p: int, prec: int, q: Fraction) -> PadicApprox:
     return PadicApprox(p, prec, q.numerator * pow(q.denominator, -1, m) % m)
 
 
-class PadicVec(_Value):
+@dataclass(frozen=True, slots=True, init=False)
+class PadicVec:
     """A vector over Z_p known modulo p^prec: one reduced residue per
     coordinate, so every coordinate shares p and prec by construction."""
 
-    __slots__ = ("p", "prec", "res")
+    p: int
+    prec: int
+    res: tuple[int, ...]
 
     def __init__(self, p: int, prec: int, res):
         # the residues are read first, so an empty iterator is refused too

@@ -116,6 +116,9 @@ class PolySystem:
                     f"a term must be an object with a coefficient 'c' and an "
                     f"exponent list 'e', not {term!r}"
                 )
+        empty = data.get("allow_empty", False)
+        if type(empty) is not bool:
+            raise DomainError(f"system field 'allow_empty' must be true or false, not {empty!r}")
         ws = data.get("witnesses", [])
         if not isinstance(ws, list) or not all(isinstance(w, list) for w in ws):
             raise DomainError("system field 'witnesses' must be a list of points")
@@ -132,7 +135,7 @@ class PolySystem:
             _json_int(data.get("n"), "system field 'n'"),
             polys,
             tuple(tuple(_json_fraction(q) for q in w) for w in ws),
-            bool(data.get("allow_empty", False)),
+            empty,
         )
 
     @staticmethod

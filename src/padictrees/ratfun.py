@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, _json_int
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, int | Fraction]  # exponent vector -> coefficient
@@ -131,12 +131,25 @@ class RationalGF:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "RationalGF":
-        num = {
-            tuple(t["e"]): _coef(t["c"]) for t in data["numerator"]
-        }
-        den = {(int(t["c"]), tuple(t["e"])): int(t["mult"]) for t in data["denominator"]}
-        return RationalGF.make(tuple(data["variables"]), num, den)
+    def from_json(data) -> "RationalGF":
+        """The series of a JSON document; a malformed one is a DomainError."""
+        names = data.get("variables") if isinstance(data, dict) else None
+        if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+            raise DomainError(f"series field 'variables' must list names, not {names!r}")
+
+        def terms(key):
+            ts = data.get(key)
+            if not (isinstance(ts, list) and all(isinstance(t, dict) for t in ts)):
+                raise DomainError(f"series field {key!r} must be a list of objects, not {ts!r}")
+            for t in ts:
+                if not (isinstance(t.get("e"), list) and len(t["e"]) == len(names)):
+                    raise DomainError(f"a term's 'e' must list {len(names)} exponents: {t!r}")
+                yield t, tuple(_json_int(x, "an exponent in 'e'") for x in t["e"])
+
+        num = {e: _json_coef(t.get("c"), "a numerator term's 'c'") for t, e in terms("numerator")}
+        den = {(_json_int(t.get("c"), "a denominator's 'c'"), e):
+               _json_int(t.get("mult"), "a denominator's 'mult'") for t, e in terms("denominator")}
+        return RationalGF.make(tuple(names), num, den)
 
 
 def _mono_str(c: int, e: Mono, variables) -> str:
@@ -185,6 +198,16 @@ def _coef(value) -> int | Fraction:
             return int(s)
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
+
+
+def _json_coef(value, what: str) -> int | Fraction:
+    """A JSON integer or fraction string read by _coef, else a DomainError."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return _coef(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"{what} must be an integer or a fraction string, not {value!r}")
 
 
 def gf_zero(variables) -> RationalGF:

@@ -98,7 +98,7 @@ class TruncTree:
         if data.get("format") != 1:
             raise DomainError(f"unsupported tree format {data.get('format')!r}")
         cap = data.get("depth_cap")
-        if not isinstance(cap, int):
+        if type(cap) is not int:
             raise DomainError(f"depth_cap must be an integer, not {cap!r}")
         for key in ("parents", "layers", "labels"):
             value = data.get(key)
@@ -107,11 +107,11 @@ class TruncTree:
             if not isinstance(value, list) or not all(isinstance(l, list) for l in value):
                 raise DomainError(f"tree field {key!r} must be a list of lists")
         parents = data["parents"]
-        if not all(isinstance(i, int) for layer in parents for i in layer):
+        if not all(type(i) is int for layer in parents for i in layer):
             raise DomainError("parent indices must be integers")
         labels = data.get("labels")
         if labels is not None:
-            labels = [[_label_unjson(l) for l in layer] for layer in labels]
+            labels = [[_hashable(l) for l in layer] for layer in labels]
         layers = data.get("layers")
         empty = len(layers[0]) == 0 if layers else False
         t = TruncTree(cap, parents, labels=labels, empty=empty)
@@ -126,12 +126,6 @@ class TruncTree:
 
     def __repr__(self):
         return f"TruncTree(depth_cap={self.depth_cap}, layers={self.layer_sizes()})"
-
-
-def _label_unjson(l):
-    if isinstance(l, list):
-        return tuple(l)
-    return l
 
 
 def empty_tree(depth_cap: int) -> TruncTree:
@@ -370,9 +364,9 @@ def cheese_restrict(t: TruncTree, cheese: Cheese) -> TruncTree:
 def find_node_by_label(t: TruncTree, depth: int, label) -> tuple[int, int]:
     if t.labels is None:
         raise LabelMissing("tree carries no labels")
-    want = tuple(label) if isinstance(label, (list, tuple)) else label
+    want = _hashable(label)
     for i, lab in enumerate(t.labels[depth]):
-        if (tuple(lab) if isinstance(lab, (list, tuple)) else lab) == want:
+        if _hashable(lab) == want:
             return (depth, i)
     raise DomainError(f"no node with label {label} at depth {depth}")
 

@@ -6,11 +6,13 @@ import json
 import pytest
 
 from padictrees.cli import _DISPATCH, _UsageError, _label_texts, build_parser, main
-from padictrees.datum import cusp_datum, point_datum, y_datum
+from padictrees.datum import cusp_datum, expand_counts, point_datum, y_datum
 from padictrees.enum_trees import No, Yes, lifted_tree
+from padictrees.poincare import datum_poincare
 from padictrees.polysys import cusp_system, make_system
-from padictrees.realize import WitnessCloud, verify_realization
-from padictrees.trees import TruncTree, full_tree, is_isomorphic, y_tree
+from padictrees.ratfun import RationalGF, gf_equal
+from padictrees.realize import WitnessCloud, realize, verify_realization
+from padictrees.trees import TruncTree, full_tree, is_isomorphic, to_dot, y_tree
 
 
 @pytest.fixture
@@ -127,6 +129,26 @@ def test_poincare_tree_coeffs(files, capsys, tmp_path):
     assert out.strip() == "1 1 1 2 2 2"
 
 
+def test_poincare_json_outputs(files, capsys, tmp_path):
+    # --format json is the default for the series and for its coefficients
+    for name, datum, p in (("cuspdatum.json", cusp_datum(5), 5), ("y2.json", y_datum(2, m=0), 3)):
+        code, out, _ = run(capsys, "poincare", "--datum", files[name], "--p", str(p))
+        assert code == 0
+        f, g = RationalGF.from_json(json.loads(out)), datum_poincare(datum, p)
+        assert f == g and gf_equal(f, g)
+        code, out, _ = run(capsys, "poincare", "--datum", files[name], "--p", str(p),
+                           "--coeffs", "7")
+        assert code == 0
+        data = json.loads(out)
+        assert data["format"] == 1
+        assert [int(c) for c in data["coeffs"]] == expand_counts(datum, (), p, 7)
+    tree_path = str(tmp_path / "t.json")
+    run(capsys, "expand", files["y2.json"], "--p", "3", "--depth", "5", "--out", tree_path)
+    for k, counts in ((3, [1, 1, 1, 2]), (0, [1]), (9, [1, 1, 1, 2, 2, 2])):
+        code, out, _ = run(capsys, "poincare", "--tree", tree_path, "--coeffs", str(k))
+        assert code == 0 and json.loads(out) == {"format": 1, "coeffs": counts}
+
+
 def test_poincare_requires_one_source(files, capsys):
     code, _, err = run(capsys, "poincare", "--format", "text")
     assert code == 2
@@ -148,6 +170,17 @@ def test_iso_matching_and_not(files, capsys, tmp_path):
     assert code == 1 and "not isomorphic" in out
 
 
+def test_iso_equal_layer_sizes_different_shapes(capsys, tmp_path):
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    # both have layers 1 2 2: one node with two children, or two with one each
+    for path, tree in ((a, TruncTree(2, [[0, 0], [0, 0]])), (b, TruncTree(2, [[0, 0], [0, 1]]))):
+        with open(path, "w") as fh:
+            json.dump(tree.to_json(), fh)
+    code, out, err = run(capsys, "iso", a, b)
+    assert code == 1 and err == ""
+    assert out == "not isomorphic: equal layer sizes, different shapes\n"
+
+
 def test_iso_depth_cap_mismatch(files, capsys, tmp_path):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")
@@ -167,6 +200,27 @@ def test_realize_and_check(files, capsys, tmp_path):
     assert "matches" in err
     cloud = WitnessCloud.load(out_path)
     assert verify_realization(cloud, y_datum(2, m=0), 3, 6).ok
+
+
+def test_realize_without_check(files, capsys):
+    code, out, err = run(capsys, "realize", files["y2.json"], "--p", "3", "--depth", "6")
+    assert code == 0 and err == ""
+    assert out == json.dumps(realize(y_datum(2, m=0), 6, p=3).to_json()) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enum", "cusp.json", "--depth", "3"),
+    ("naive", "parabola.json", "--depth", "3"),
+    ("expand", "cuspdatum.json", "--p", "5", "--depth", "3"),
+])
+def test_tree_commands_write_dot(files, capsys, argv):
+    command, name, *rest = argv
+    code, out, _ = run(capsys, command, files[name], *rest)
+    assert code == 0
+    tree = TruncTree.from_json(json.loads(out))
+    code, out, _ = run(capsys, command, files[name], *rest, "--format", "dot")
+    assert code == 0 and out.startswith("digraph")
+    assert out == to_dot(tree) + "\n"
 
 
 def test_dot_output(files, capsys, tmp_path):

@@ -83,6 +83,26 @@ def test_tree_json_format_and_layers_checked(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_tree_json_integers_are_not_booleans(tmp_path, capsys):
+    # a JSON true or false was read as the integer 1 or 0
+    good = y_tree(1, 3).to_json()
+    for bad, field in (
+        ({"format": 1, "depth_cap": True, "parents": [[False]]}, "depth_cap"),
+        ({**good, "depth_cap": False, "parents": [], "layers": [[0]]}, "depth_cap"),
+        ({**good, "parents": [[False], [0, 0], [0, 1]]}, "parent indices"),
+        ({**good, "parents": [[0], [0, True], [0, 1]]}, "parent indices"),
+    ):
+        with pytest.raises(DomainError, match=field):
+            TruncTree.from_json(bad)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(bad))
+        b.write_text(json.dumps(good))
+        assert main(["iso", str(a), str(b)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert field in err
+
+
 def test_seed_flag_removed(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(y_tree(1, 3).to_json()))
@@ -149,6 +169,26 @@ def test_malformed_system_json_is_an_input_error(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, err
             assert "Traceback" not in err
+
+
+def test_allow_empty_is_a_json_boolean(tmp_path, capsys):
+    # allow_empty was read with bool(), so the string "false" meant true
+    good = {"format": 1, "p": 3, "n": 1, "polys": [[{"c": "1", "e": [1]}]]}
+    for flag in (True, False):
+        assert PolySystem.from_json({**good, "allow_empty": flag}).allow_empty is flag
+    assert PolySystem.from_json(good).allow_empty is False
+    path = tmp_path / "bad.json"
+    for polys, value in (([], "false"), ([], 1), ([], []), (good["polys"], "true"),
+                         (good["polys"], 0), (good["polys"], None)):
+        bad = {**good, "polys": polys, "allow_empty": value}
+        with pytest.raises(DomainError, match="allow_empty"):
+            PolySystem.from_json(bad)
+        path.write_text(json.dumps(bad))
+        for command in ("naive", "enum"):
+            assert main([command, str(path), "--depth", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert "'allow_empty'" in err and repr(value) in err
 
 
 def test_leaf_repeat_must_be_positive(tmp_path, capsys):

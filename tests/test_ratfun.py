@@ -145,6 +145,41 @@ def test_negative_exponent_factor_is_refused():
     assert time.perf_counter() - start < 1
 
 
+def test_malformed_series_json_is_a_domain_error():
+    # numbers were read with int(), so a float or a bool passed as an integer,
+    # and a missing field escaped as a bare KeyError
+    good = {
+        "format": 1, "variables": ["Z"], "numerator": [{"e": [0], "c": "1"}],
+        "denominator": [{"c": 1, "e": [1], "mult": 1}],
+    }
+    assert str(RationalGF.from_json(good)) == "(1) / (1 - Z)"
+    den, = good["denominator"]
+    for bad, field in (
+        ({**good, "denominator": [{"c": 1.9, "e": [True], "mult": 1}]}, "'e'"),
+        ({**good, "denominator": [{**den, "c": 1.9}]}, "'c'"),
+        ({**good, "denominator": [{**den, "c": True}]}, "'c'"),
+        ({**good, "denominator": [{**den, "mult": "x"}]}, "'mult'"),
+        ({**good, "denominator": [{"c": 1, "e": [1]}]}, "'mult'"),
+        ({**good, "denominator": [{**den, "e": [1.0]}]}, "'e'"),
+        ({**good, "denominator": [{**den, "e": [1, 0]}]}, "'e'"),
+        ({**good, "numerator": [{"e": [0]}]}, "'c'"),
+        ({**good, "numerator": [{"e": [0], "c": True}]}, "'c'"),
+        ({**good, "numerator": [{"e": [0], "c": 0.5}]}, "'c'"),
+        ({**good, "numerator": [{"e": [0], "c": "1/0"}]}, "'c'"),
+        ({**good, "numerator": [{"c": "1"}]}, "'e'"),
+        ({**good, "numerator": ["1"]}, "'numerator'"),
+        ({k: v for k, v in good.items() if k != "denominator"}, "'denominator'"),
+        ({**good, "variables": "Z"}, "'variables'"),
+        ({**good, "variables": [1]}, "'variables'"),
+        ([good], "'variables'"),
+    ):
+        with pytest.raises(DomainError, match=field):
+            RationalGF.from_json(bad)
+    # integer and fraction strings are read exactly, as the writer gives them
+    g = RationalGF.from_json({**good, "numerator": [{"e": [0], "c": " 3/6 "}, {"e": [2], "c": 4}]})
+    assert g.numerator == (((0,), Fraction(1, 2)), ((2,), 4))
+
+
 def test_str_rendering():
     assert str(geo()) == "(1) / (1 - Z)"
     assert str(gf_zero(Z)) == "0"
