@@ -49,6 +49,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     def depth(sp):
         sp.add_argument("--depth", type=int, required=True, help="truncation depth")
 
+    def ints(text):  # --param: comma-separated integers, none for ''
+        return tuple(int(s) for s in text.split(",") if s.strip() != "")
+
     def tree_out(sp):
         # the commands that build a tree, and only they, take a node budget
         out(sp, "json", "dot", "text")
@@ -68,7 +71,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     if sp := add("expand", "expand a tree datum"):
         sp.add_argument("datum")
         sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--param", default="",
+        sp.add_argument("--param", type=ints, default="",
                         help="comma-separated parameter values")
         tree_out(sp)
     if sp := add("poincare", "exact Poincare series"):
@@ -222,8 +225,7 @@ def _cmd_expand(args) -> int:
 
     _require_prime(args.p)
     D = TreeDatum.load(args.datum)
-    kappa = tuple(int(s) for s in args.param.split(",") if s.strip() != "")
-    t = expand(D, kappa, args.p, args.depth, args.node_budget)
+    t = expand(D, args.param, args.p, args.depth, args.node_budget)
     _emit_tree(t, args)
     return EXIT_OK
 
@@ -342,7 +344,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PadicTreesError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (PadicTreesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

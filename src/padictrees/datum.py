@@ -14,7 +14,6 @@ T(Z_p) x (expansion of a side datum of lower level).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -28,14 +27,16 @@ from .errors import (
     NodeBudgetExceeded,
     ParameterOutsideDomain,
     PieceNotFound,
-    _json_int,
+    _int_list,
+    _json_num,
+    _objects_with,
+    load_json,
 )
 from .gamma import (
     INFINITY,
     GammaCell,
     GammaSet,
     LinearFn,
-    _objects_with,
     const_fn,
     eval_linear,
     linear,
@@ -280,47 +281,44 @@ class TreeDatum:
         that names the field."""
         if not isinstance(data, dict):
             raise DomainError("a tree datum must be a JSON object")
-        for key in _DATUM_FIELDS:
-            if key not in data:
-                raise DomainError(f"tree datum field {key!r} is missing")
-        sk = data["skeleton"]
+        level = _json_num(data.get("level"), "tree datum field 'level'")
+        m = _json_num(data.get("m"), "tree datum field 'm'")
+        rho = _json_num(data.get("rho"), "tree datum field 'rho'")
+        sk = data.get("skeleton")
         if not (isinstance(sk, dict) and _int_list(sk.get("parents"))
                 and _objects_with(sk.get("bones"), "len")):
             raise DomainError(
                 "tree datum field 'skeleton' must be an object with a list "
                 "'parents' of integers and a list 'bones' of objects with 'len'"
             )
-        for key, fields in _BRANCH_FIELDS.items():
-            if not _objects_with(data[key], *fields):
-                raise DomainError(
-                    f"tree datum field {key!r} must be a list of objects with "
-                    + ", ".join(map(repr, fields))
-                )
+        for key in ("joint_branches", "bone_branches"):
+            if not _objects_with(data.get(key)):
+                raise DomainError(f"tree datum field {key!r} must be a list of objects")
         parents = tuple(sk["parents"])
         lengths = tuple(
             _read("skeleton bone field 'len'", linear_from_json, bone["len"])
             for bone in sk["bones"]
         )
         return TreeDatum(
-            level=_json_int(data["level"], "tree datum field 'level'"),
-            m=_json_int(data["m"], "tree datum field 'm'"),
+            level=level,
+            m=m,
             domain=_read(
-                "tree datum field 'domain'", GammaSet.from_json, data["domain"]
+                "tree datum field 'domain'", GammaSet.from_json, data.get("domain")
             ),
-            rho=_json_int(data["rho"], "tree datum field 'rho'"),
+            rho=rho,
             skeleton=SkeletonDatum(parents, lengths),
             joint_branches=tuple(
                 (
-                    _json_int(item["joint"], "joint branch field 'joint'"),
+                    _json_num(item.get("joint"), "joint branch field 'joint'"),
                     _read("a joint branch", _branch_from_json, item),
                 )
                 for item in data["joint_branches"]
             ),
             bone_branches=tuple(
                 (
-                    _json_int(item["bone"], "bone branch field 'bone'"),
+                    _json_num(item.get("bone"), "bone branch field 'bone'"),
                     _read(
-                        "bone branch field 'piece'", GammaCell.from_json, item["piece"]
+                        "bone branch field 'piece'", GammaCell.from_json, item.get("piece")
                     ),
                     _read("a bone branch", _branch_from_json, item),
                 )
@@ -330,17 +328,7 @@ class TreeDatum:
 
     @staticmethod
     def load(path: str) -> "TreeDatum":
-        with open(path) as fh:
-            return TreeDatum.from_json(json.load(fh))
-
-
-_DATUM_FIELDS = (
-    "level", "m", "domain", "rho", "skeleton", "joint_branches", "bone_branches",
-)
-_BRANCH_FIELDS = {
-    "joint_branches": ("joint", "fintree", "leaves"),
-    "bone_branches": ("bone", "piece", "fintree", "leaves"),
-}
+        return load_json(path, TreeDatum.from_json)
 
 
 def _read(what: str, read, value):
@@ -349,11 +337,6 @@ def _read(what: str, read, value):
         return read(value)
     except DomainError as exc:
         raise DomainError(f"{what}: {exc}") from None
-
-
-def _int_list(value) -> bool:
-    """Whether value is a JSON list of integers (true and false are not)."""
-    return isinstance(value, list) and all(type(i) is int for i in value)
 
 
 def _branch_json(br: SideBranchDatum) -> dict:
@@ -373,7 +356,8 @@ def _branch_from_json(item: dict) -> SideBranchDatum:
     # a run, and a leaf equal to the previous one (files written without
     # "repeat"), reuse one datum, so a loaded star branch shares one object
     # per side datum as star_branch does
-    if not (_int_list(item["fintree"]) and _objects_with(item["leaves"], "side")):
+    fintree = item.get("fintree")
+    if not (_int_list(fintree) and _objects_with(item.get("leaves"), "side")):
         raise DomainError(
             "'fintree' must be a list of integers and 'leaves' a list of "
             "objects with 'side'"
@@ -382,16 +366,18 @@ def _branch_from_json(item: dict) -> SideBranchDatum:
     prev = None
     for leaf in item["leaves"]:
         side = leaf["side"]
-        if side == prev:
+        if leaf_data and side == prev:
             d = leaf_data[-1]
+        elif side == "terminal":
+            d = TERMINAL
         else:
-            d = TERMINAL if side == "terminal" else TreeDatum.from_json(side)
-        k = _json_int(leaf.get("repeat", 1), "leaf field 'repeat'")
-        if k < 1:
-            raise InvalidDatum(f"leaf repeat {k} is not positive")
+            d = _read("leaf field 'side'", TreeDatum.from_json, side)
+        k = _json_num(leaf.get("repeat", 1), "leaf field 'repeat'")
+        if not 1 <= k <= len(fintree):
+            raise InvalidDatum(f"leaf repeat {k} is not in 1..{len(fintree)}, the fintree size")
         leaf_data.extend([d] * k)
         prev = side
-    return SideBranchDatum(tuple(item["fintree"]), tuple(leaf_data))
+    return SideBranchDatum(tuple(fintree), tuple(leaf_data))
 
 
 class SkeletonTable(NamedTuple):
@@ -643,6 +629,9 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
 # box misses it) and keeps the first _LIMIT points
 _SPAN = 8
 _LIMIT = 40
+# the most depths of one bone at one point that validate walks to decide
+# the coverage of its pieces; a longer walk is reported, not taken
+COVER_LIMIT = 10**5
 
 
 def _sample_params(D: TreeDatum):
@@ -687,10 +676,7 @@ def validate(D: TreeDatum, require_normal=False, _memo=None) -> list[str]:
     if hit is not None:
         return list(hit)
     report = []
-    try:
-        samples = _sample_params(D)
-    except Exception as exc:  # malformed domain
-        return [f"domain: {exc}"]
+    samples = _sample_params(D)
     if D.m and not samples:
         report.append("domain: no points found while probing")
 
@@ -747,6 +733,10 @@ def validate(D: TreeDatum, require_normal=False, _memo=None) -> list[str]:
             end += lcm(*(rho for _, _, rho in ranges))
             if hi is not INFINITY:
                 end = min(end, hi)
+            if end - lo > COVER_LIMIT:
+                report.append(f"bone {j}: coverage at {kappa} needs {end - lo - 1} depths, "
+                              f"above the limit {COVER_LIMIT}")
+                continue
             for lam in range(lo + 1, end):
                 hits = sum(
                     least <= lam and (top is INFINITY or lam <= top)

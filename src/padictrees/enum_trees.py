@@ -240,7 +240,8 @@ def naive_tree(
     """
     if depth_cap < 0:
         raise DomainError("negative depth cap")
-    if sys.p**sys.n > node_budget:
+    # p^n >= 2^n, so a long n is refused before its power is formed
+    if sys.n >= node_budget.bit_length() or sys.p**sys.n > node_budget:
         raise NodeBudgetExceeded(
             f"p^n = {sys.p}^{sys.n} exceeds the node budget of {node_budget}"
         )

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the prime and
-JSON-integer checks that the commands make on their input."""
+"""Exception types shared across the package, the prime check, and the one
+JSON reader: the loader, the number reader and the shape tests that every
+from_json reads its document through."""
+
+import json
 
 
 class PadicTreesError(Exception):
@@ -106,11 +109,44 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _json_int(value, what: str) -> int:
-    """An integer given as a JSON number or a decimal string."""
+def load_json(path: str, from_json):
+    """from_json of the document in the file at path; a file that is not
+    UTF-8 JSON is a DomainError that names the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, and too
+        # deep a nesting is a RecursionError
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(f"cannot read {path} as UTF-8 JSON: {exc}") from None
+    return from_json(data)
+
+
+def _json_num(value, what: str, read=int):
+    """read(value) of a JSON number or string, else a DomainError naming
+    what.  read is int (a JSON integer or a decimal string), or ratfun._coef
+    or Fraction (a fraction string too); true and false are not numbers."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return int(value)
-        except ValueError:
+            return read(value)
+        except (ValueError, ZeroDivisionError):
             pass
-    raise DomainError(f"{what} must be an integer, not {value!r}")
+    noun = "an integer" if read is int else "an integer or a fraction string"
+    raise DomainError(f"{what} must be {noun}, not {value!r}")
+
+
+def _list_of(value, ok) -> bool:
+    """Whether value is a JSON list whose items all pass ok."""
+    return isinstance(value, list) and all(map(ok, value))
+
+
+def _int_list(value) -> bool:
+    """Whether value is a JSON list of integers (true and false are not)."""
+    return isinstance(value, list) and all(type(i) is int for i in value)
+
+
+def _objects_with(items, *fields) -> bool:
+    """Whether items is a JSON list of objects that each hold the fields."""
+    return isinstance(items, list) and all(
+        isinstance(item, dict) and all(f in item for f in fields) for item in items
+    )

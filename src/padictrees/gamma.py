@@ -12,7 +12,6 @@ not summed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,9 +23,10 @@ from .errors import (
     NonIntegral,
     NonIntegralExponent,
     UnboundedBelow,
-    _json_int,
+    _json_num,
+    _objects_with,
 )
-from .ratfun import RationalGF, _coef, _json_coef, gf_sum, gf_zero
+from .ratfun import RationalGF, _coef, gf_sum, gf_zero
 
 
 class _Infinity:
@@ -158,13 +158,6 @@ def linear_json(fn):
     return {"a": [str(a) for a in fn.coeffs], "b": str(fn.const)}
 
 
-def _objects_with(items, *fields) -> bool:
-    """Whether items is a JSON list of objects that each hold the fields."""
-    return isinstance(items, list) and all(
-        isinstance(item, dict) and all(f in item for f in fields) for item in items
-    )
-
-
 def linear_from_json(item):
     """The form (or INFINITY) of a JSON item; a malformed one is a
     DomainError."""
@@ -176,7 +169,9 @@ def linear_from_json(item):
             f"not {item!r}"
         )
     what = f"an entry of the linear form {item!r}"
-    return LinearFn(tuple(_json_coef(x, what) for x in item["a"]), _json_coef(item["b"], what))
+    return LinearFn(
+        tuple(_json_num(x, what, _coef) for x in item["a"]), _json_num(item["b"], what, _coef)
+    )
 
 
 def eval_linear(fn, point):
@@ -256,7 +251,7 @@ class GammaCell:
             for item in data["bounds"]
         ]
         cong = tuple(
-            (_json_int(c["r"], "cell field 'r'"), _json_int(c["rho"], "cell field 'rho'"))
+            (_json_num(c["r"], "cell field 'r'"), _json_num(c["rho"], "cell field 'rho'"))
             for c in data["cong"]
         )
         return GammaCell(tuple(bounds), cong)
@@ -310,13 +305,8 @@ class GammaSet:
         if not (isinstance(data, dict) and isinstance(data.get("cells"), list)):
             raise DomainError(f"a set must be an object with a list 'cells', not {data!r}")
         cells = tuple(GammaCell.from_json(c) for c in data["cells"])
-        m = _json_int(data["m"], "set field 'm'") if "m" in data else (cells[0].m if cells else 0)
+        m = _json_num(data["m"], "set field 'm'") if "m" in data else (cells[0].m if cells else 0)
         return GammaSet(cells, m)
-
-    @staticmethod
-    def load(path: str) -> "GammaSet":
-        with open(path) as fh:
-            return GammaSet.from_json(json.load(fh))
 
 
 def gamma_set(cells_) -> GammaSet:

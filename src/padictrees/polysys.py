@@ -9,12 +9,15 @@ Polynomials are sparse: a list of (coefficient, exponent vector) terms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import DomainError, _is_prime, _json_int
+from .errors import DomainError, _is_prime, _json_num, _list_of, _objects_with, load_json
+
+# the largest exponent a system may hold: the enumeration evaluates each
+# monomial exactly, at labels below p^depth
+EXPONENT_LIMIT = 10**4
 
 Term = tuple[int, tuple[int, ...]]
 Poly = tuple[Term, ...]
@@ -39,8 +42,8 @@ class PolySystem:
             for _, exps in poly:
                 if len(exps) > self.n:
                     raise DomainError(f"exponent vector {exps} is longer than {self.n}")
-                if any(e < 0 for e in exps):
-                    raise DomainError(f"negative exponent in {exps}")
+                if not all(0 <= e <= EXPONENT_LIMIT for e in exps):
+                    raise DomainError(f"negative exponent or one above {EXPONENT_LIMIT} in {exps}")
         for w in self.witnesses:
             if len(w) != self.n:
                 raise DomainError("witness has wrong dimension")
@@ -108,50 +111,37 @@ class PolySystem:
         if not isinstance(data, dict):
             raise DomainError("a polynomial system must be a JSON object")
         polys = data.get("polys")
-        if not isinstance(polys, list) or not all(isinstance(f, list) for f in polys):
-            raise DomainError("system field 'polys' must be a list of term lists")
-        for term in (t for f in polys for t in f):
-            if not (isinstance(term, dict) and "c" in term and isinstance(term.get("e"), list)):
-                raise DomainError(
-                    f"a term must be an object with a coefficient 'c' and an "
-                    f"exponent list 'e', not {term!r}"
-                )
+        if not _list_of(polys, lambda f: _objects_with(f, "c", "e")
+                        and all(isinstance(t["e"], list) for t in f)):
+            raise DomainError(
+                "system field 'polys' must be a list of term lists, each term an "
+                "object with a coefficient 'c' and an exponent list 'e'"
+            )
         empty = data.get("allow_empty", False)
         if type(empty) is not bool:
             raise DomainError(f"system field 'allow_empty' must be true or false, not {empty!r}")
         ws = data.get("witnesses", [])
-        if not isinstance(ws, list) or not all(isinstance(w, list) for w in ws):
+        if not _list_of(ws, lambda w: isinstance(w, list)):
             raise DomainError("system field 'witnesses' must be a list of points")
         polys = tuple(
             tuple(
-                (_json_int(t["c"], "a coefficient"),
-                 tuple(_json_int(x, "an exponent") for x in t["e"]))
+                (_json_num(t["c"], "a coefficient"),
+                 tuple(_json_num(x, "an exponent") for x in t["e"]))
                 for t in f
             )
             for f in polys
         )
         return PolySystem(
-            _json_int(data.get("p"), "system field 'p'"),
-            _json_int(data.get("n"), "system field 'n'"),
+            _json_num(data.get("p"), "system field 'p'"),
+            _json_num(data.get("n"), "system field 'n'"),
             polys,
-            tuple(tuple(_json_fraction(q) for q in w) for w in ws),
+            tuple(tuple(_json_num(q, "a witness coordinate", Fraction) for q in w) for w in ws),
             empty,
         )
 
     @staticmethod
     def load(path: str) -> "PolySystem":
-        with open(path) as fh:
-            return PolySystem.from_json(json.load(fh))
-
-
-def _json_fraction(value) -> Fraction:
-    """A witness coordinate given as an integer or a string such as "3/4"."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise DomainError(f"a witness coordinate must be a rational number, not {value!r}")
+        return load_json(path, PolySystem.from_json)
 
 
 def _int_det(mat) -> int:

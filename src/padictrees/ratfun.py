@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, _json_int
+from .errors import DomainError, _json_num, _list_of, _objects_with
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, int | Fraction]  # exponent vector -> coefficient
@@ -78,17 +78,21 @@ class RationalGF:
 
     @staticmethod
     def make(variables, num: Poly, den: dict[Factor, int]) -> "RationalGF":
+        # every monomial has one exponent per variable
+        if variables and num and min(map(min, num)) < 0:
+            mono = _mono_str(1, min(num, key=min), variables)
+            raise DomainError(f"numerator term {mono} has a negative exponent")
         for (c, e), mult in den.items():
             if c < 1 or mult < 1:
                 raise DomainError("denominator factor must be 1 - c*mono, c >= 1")
-            if min(e, default=0) < 0:
-                mono = _mono_str(c, e, variables)
-                raise DomainError(f"denominator factor (1 - {mono}) has a negative exponent")
             if not any(e):
                 raise DomainError("constant denominator factor")
+            if min(e) < 0:
+                mono = _mono_str(c, e, variables)
+                raise DomainError(f"denominator factor (1 - {mono}) has a negative exponent")
         return RationalGF(
             tuple(variables),
-            tuple(sorted((m, c) for m, c in num.items() if c)),
+            tuple(sorted([(m, c) for m, c in num.items() if c])),
             tuple(sorted(den.items())),
         )
 
@@ -132,23 +136,30 @@ class RationalGF:
 
     @staticmethod
     def from_json(data) -> "RationalGF":
-        """The series of a JSON document; a malformed one is a DomainError."""
+        """The series of a JSON document; a malformed one is a DomainError.
+        So is a repeated numerator exponent or denominator factor, which the
+        writer never gives: adding the two would read a file no writer made,
+        and keeping one would drop the other."""
         names = data.get("variables") if isinstance(data, dict) else None
-        if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+        if not _list_of(names, lambda v: isinstance(v, str)):
             raise DomainError(f"series field 'variables' must list names, not {names!r}")
-
-        def terms(key):
+        num, den = {}, {}
+        for key, out in (("numerator", num), ("denominator", den)):
             ts = data.get(key)
-            if not (isinstance(ts, list) and all(isinstance(t, dict) for t in ts)):
+            if not _objects_with(ts):
                 raise DomainError(f"series field {key!r} must be a list of objects, not {ts!r}")
             for t in ts:
                 if not (isinstance(t.get("e"), list) and len(t["e"]) == len(names)):
                     raise DomainError(f"a term's 'e' must list {len(names)} exponents: {t!r}")
-                yield t, tuple(_json_int(x, "an exponent in 'e'") for x in t["e"])
-
-        num = {e: _json_coef(t.get("c"), "a numerator term's 'c'") for t, e in terms("numerator")}
-        den = {(_json_int(t.get("c"), "a denominator's 'c'"), e):
-               _json_int(t.get("mult"), "a denominator's 'mult'") for t, e in terms("denominator")}
+                e = tuple(_json_num(x, "an exponent in 'e'") for x in t["e"])
+                if key == "numerator":
+                    k, v = e, _json_num(t.get("c"), "a numerator term's 'c'", _coef)
+                else:
+                    k = (_json_num(t.get("c"), "a denominator's 'c'"), e)
+                    v = _json_num(t.get("mult"), "a denominator's 'mult'")
+                if k in out:
+                    raise DomainError(f"series field {key!r} repeats the term {t!r}")
+                out[k] = v
         return RationalGF.make(tuple(names), num, den)
 
 
@@ -198,16 +209,6 @@ def _coef(value) -> int | Fraction:
             return int(s)
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
-
-
-def _json_coef(value, what: str) -> int | Fraction:
-    """A JSON integer or fraction string read by _coef, else a DomainError."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return _coef(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise DomainError(f"{what} must be an integer or a fraction string, not {value!r}")
 
 
 def gf_zero(variables) -> RationalGF:

@@ -24,7 +24,6 @@ of their own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import lcm
@@ -39,7 +38,9 @@ from .errors import (
     NotRealizable,
     PrecisionExhausted,
     _is_prime,
-    _json_int,
+    _json_num,
+    _list_of,
+    load_json,
 )
 from .gamma import INFINITY, LinearFn, const_fn, eval_linear, var
 from .padic import (
@@ -247,6 +248,12 @@ def skeleton_fns(D: TreeDatum) -> SkeletonFns:
 # ---------------------------------------------------------------------------
 
 
+# the largest prec a cloud file may give: reading a point reduces it mod
+# p^prec, a number of up to 640,000 bits at this limit (realize writes
+# prec = depth + 2 v_p(e) + 6)
+PREC_LIMIT = 10**4
+
+
 @dataclass(frozen=True)
 class WitnessCloud:
     """A finite point set in Z_p^{m+N} together with provenance tags."""
@@ -272,36 +279,34 @@ class WitnessCloud:
     @staticmethod
     def from_json(data) -> "WitnessCloud":
         """The cloud of a JSON document; a malformed one is a DomainError
-        that names the field."""
+        that names the field.  prec must lie in [0, PREC_LIMIT], and is
+        checked before any power of p is formed."""
         if not isinstance(data, dict) or data.get("format") != 1:
             raise DomainError("a witness cloud must be a JSON object with 'format' 1")
         p, prec, m, N = (
-            _json_int(data.get(k), f"cloud field {k!r}") for k in ("p", "prec", "m", "N")
+            _json_num(data.get(k), f"cloud field {k!r}") for k in ("p", "prec", "m", "N")
         )
         if not _is_prime(p):
             raise DomainError(f"cloud field 'p' must be prime, not {p}")
+        if prec > PREC_LIMIT:
+            raise DomainError(f"cloud field 'prec' must be at most {PREC_LIMIT}, not {prec}")
         for k, v, low in (("prec", prec, 0), ("m", m, 0), ("N", N, 1)):
             if v < low:
                 raise DomainError(f"cloud field {k!r} must be >= {low}, not {v}")
         rows, tags = data.get("points"), data.get("provenance")
-        if not isinstance(rows, list) or any(
-            not isinstance(row, list) or len(row) != m + N for row in rows
-        ):
+        if not _list_of(rows, lambda row: isinstance(row, list) and len(row) == m + N):
             raise DomainError(f"cloud field 'points' must list rows of {m + N} coordinates")
-        if not isinstance(tags, list) or len(tags) != len(rows) or any(
-            not isinstance(tag, str) for tag in tags
-        ):
+        if not (_list_of(tags, lambda tag: isinstance(tag, str)) and len(tags) == len(rows)):
             raise DomainError("cloud field 'provenance' must list one string per point")
         pts = tuple(
-            vec(p, prec, [_json_int(a, "a coordinate in cloud field 'points'") for a in row])
+            vec(p, prec, [_json_num(a, "a coordinate in cloud field 'points'") for a in row])
             for row in rows
         )
         return WitnessCloud(p, prec, m, N, pts, tuple(tags))
 
     @staticmethod
     def load(path: str) -> "WitnessCloud":
-        with open(path) as fh:
-            return WitnessCloud.from_json(json.load(fh))
+        return load_json(path, WitnessCloud.from_json)
 
 
 def _check_and_size(D: TreeDatum, p: int, _memo=None):

@@ -8,7 +8,6 @@ explicitly requested.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -19,6 +18,9 @@ from .errors import (
     LabelMissing,
     NodeBudgetExceeded,
     PrecisionExhausted,
+    _int_list,
+    _list_of,
+    load_json,
 )
 
 if TYPE_CHECKING:
@@ -100,15 +102,13 @@ class TruncTree:
         cap = data.get("depth_cap")
         if type(cap) is not int:
             raise DomainError(f"depth_cap must be an integer, not {cap!r}")
-        for key in ("parents", "layers", "labels"):
+        for key in ("layers", "labels"):
             value = data.get(key)
-            if value is None and key != "parents":
-                continue
-            if not isinstance(value, list) or not all(isinstance(l, list) for l in value):
+            if value is not None and not _list_of(value, lambda l: isinstance(l, list)):
                 raise DomainError(f"tree field {key!r} must be a list of lists")
-        parents = data["parents"]
-        if not all(type(i) is int for layer in parents for i in layer):
-            raise DomainError("parent indices must be integers")
+        parents = data.get("parents")
+        if not _list_of(parents, _int_list):
+            raise DomainError("tree field 'parents' must be a list of lists of parent indices")
         labels = data.get("labels")
         if labels is not None:
             labels = [[_hashable(l) for l in layer] for layer in labels]
@@ -121,8 +121,7 @@ class TruncTree:
 
     @staticmethod
     def load(path: str) -> "TruncTree":
-        with open(path) as fh:
-            return TruncTree.from_json(json.load(fh))
+        return load_json(path, TruncTree.from_json)
 
     def __repr__(self):
         return f"TruncTree(depth_cap={self.depth_cap}, layers={self.layer_sizes()})"

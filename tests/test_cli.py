@@ -256,6 +256,24 @@ def test_usage_errors(files, capsys):
     assert code == 2
 
 
+def test_param_is_parsed_as_integers(files, capsys):
+    code, _, err = run(capsys, "expand", files["y2.json"], "--p", "3", "--depth", "2",
+                       "--param", "a")
+    assert code == 2 and err.startswith("usage error: argument --param:"), err
+
+
+def test_a_fault_in_a_command_is_not_an_input_error(files, monkeypatch):
+    # only PadicTreesError and OSError are input errors; a KeyError or
+    # ValueError from a fault inside a command is raised, not exit 2
+    for exc in (KeyError("x"), ValueError("x")):
+        def fault(args):
+            raise exc
+
+        monkeypatch.setitem(_DISPATCH, "naive", fault)
+        with pytest.raises(type(exc)):
+            main(["naive", files["cusp.json"], "--depth", "2"])
+
+
 def test_enum_deterministic_output(files, capsys, tmp_path):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")

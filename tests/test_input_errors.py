@@ -159,6 +159,7 @@ def test_malformed_system_json_is_an_input_error(tmp_path, capsys):
         {**good, "n": [2]},
         {**good, "witnesses": ["0"]},
         {**good, "witnesses": [["1/0", "0"]]},
+        {**good, "polys": [[{"c": "1", "e": [10**30, 0]}]]},
     ):
         with pytest.raises(DomainError):
             PolySystem.from_json(bad)
@@ -196,7 +197,7 @@ def test_leaf_repeat_must_be_positive(tmp_path, capsys):
     (leaf,) = data["joint_branches"][0]["leaves"]
     assert leaf["repeat"] == 2
     path = tmp_path / "bad.datum.json"
-    for k in (0, -2):
+    for k in (0, -2, 10**30):
         leaf["repeat"] = k
         path.write_text(json.dumps(data))
         assert main(["expand", str(path), "--p", "3", "--depth", "2"]) == 2
@@ -253,6 +254,7 @@ def test_malformed_datum_numbers_are_input_errors(tmp_path, capsys):
         ({**good, "skeleton": {**sk, "parents": [-1, "a"]}}, "'parents'"),
         ({**good, "joint_branches": [{**joint, "fintree": [-1, 0, None]}]}, "'fintree'"),
         ({**good, "joint_branches": [{**joint, "leaves": [{**leaf, "repeat": "x"}]}]}, "'repeat'"),
+        ({**good, "joint_branches": [{**joint, "leaves": [{**leaf, "side": None}]}]}, "'side'"),
         ({**good, "domain": {**good["domain"], "m": None}}, "'m'"),
         ({**good, "domain": {"cells": [{**cell, "cong": [{"r": None, "rho": 1}]}]}}, "'r'"),
         ({**good, "skeleton": {**sk, "bones": [{**sk["bones"][0], "len": {"a": [], "b": None}}]}},
@@ -369,3 +371,33 @@ def test_negative_orders_and_depths_refused(tmp_path, capsys):
         expand_series(datum_poincare(y_datum(1, m=0), 3), -1)
     with pytest.raises(DomainError, match="depth"):
         realize(y_datum(1, m=0), -1, p=3)
+
+
+def test_a_dimension_too_large_to_enumerate_is_refused(tmp_path, capsys):
+    # p^n was formed to compare it with the node budget, which for
+    # n = 10^30 never returned
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_system_json(3, 10**30, [(1, (1,))])))
+    for command in ("naive", "enum"):
+        assert main([command, str(path), "--depth", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "node budget" in err and err.count("\n") == 1, err
+
+
+def test_a_file_that_is_not_utf8_json_names_its_path(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(y_tree(1, 3).to_json()))
+    for content in (b"\xff\xfe{}", b"{\"p\": 3,", b"[" * 100_000):
+        bad.write_bytes(content)
+        for argv in (
+            ["naive", str(bad), "--depth", "2"],
+            ["expand", str(bad), "--p", "3", "--depth", "2"],
+            ["poincare", "--datum", str(bad)],
+            ["iso", str(bad), str(good)],
+            ["dot", str(bad)],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read {bad} as UTF-8 JSON:"), err
+            assert err.count("\n") == 1, err

@@ -15,6 +15,7 @@ import pytest
 from datum_gen import sample_data
 from padictrees.cli import main
 from padictrees.datum import (
+    COVER_LIMIT,
     SkeletonDatum,
     TreeDatum,
     expand,
@@ -126,4 +127,13 @@ def test_coverage_is_decided_along_the_whole_bone(D, msgs):
         f"bone 1: {msg}" for msg in msgs
     ]
     with pytest.raises(InvalidDatum, match=re.escape(msgs[0])):
+        datum_poincare(D, 3)
+
+
+def test_a_coverage_walk_past_the_limit_is_reported():
+    # a piece starting at depth 10^30 made validate walk every depth above it
+    D = _bones([None], [(1, 1, 10), (1, 10**30, None)])
+    msg = f"bone 1: coverage at () needs {10**30} depths, above the limit {COVER_LIMIT}"
+    assert validate(D) == [msg]
+    with pytest.raises(InvalidDatum, match=re.escape(msg)):
         datum_poincare(D, 3)

@@ -172,6 +172,10 @@ def test_malformed_series_json_is_a_domain_error():
         ({**good, "variables": "Z"}, "'variables'"),
         ({**good, "variables": [1]}, "'variables'"),
         ([good], "'variables'"),
+        ({**good, "numerator": [{"e": [-1], "c": "1"}]}, "Z\\^-1 has a negative exponent"),
+        ({**good, "numerator": [{"e": [0], "c": "1"}, {"e": [0], "c": "2"}]},
+         "'numerator' repeats the term"),
+        ({**good, "denominator": [den, {**den, "mult": 2}]}, "'denominator' repeats the term"),
     ):
         with pytest.raises(DomainError, match=field):
             RationalGF.from_json(bad)

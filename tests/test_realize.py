@@ -30,6 +30,7 @@ from padictrees.errors import (
 from padictrees.gamma import INFINITY, const_fn, linear, whole_quadrant
 from padictrees.padic import PadicApprox, from_int, val, vec
 from padictrees.realize import (
+    PREC_LIMIT,
     RealizationContext,
     WitnessCloud,
     realize,
@@ -332,6 +333,8 @@ def test_malformed_cloud_json_names_the_field():
         ({**good, "points": [["x"] + row[1:]] + good["points"][1:]}, "'points'"),
         ({**good, "provenance": good["provenance"][1:]}, "'provenance'"),
         ({**good, "provenance": 3}, "'provenance'"),
+        ({**good, "prec": PREC_LIMIT + 1}, "'prec'"),
+        ({**good, "prec": 10**30}, "'prec'"),
     ):
         with pytest.raises(DomainError) as exc:
             WitnessCloud.from_json(bad)
