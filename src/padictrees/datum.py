@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     InvalidDatum,
     NodeBudgetExceeded,
+    NonIntegral,
     ParameterOutsideDomain,
     PieceNotFound,
     _int_list,
@@ -353,9 +354,9 @@ def _branch_json(br: SideBranchDatum) -> dict:
 
 
 def _branch_from_json(item: dict) -> SideBranchDatum:
-    # a run, and a leaf equal to the previous one (files written without
-    # "repeat"), reuse one datum, so a loaded star branch shares one object
-    # per side datum as star_branch does
+    # a run, and a leaf whose datum equals the previous one once read (files
+    # written without "repeat"), reuse one datum, so a loaded star branch
+    # shares one object per side datum as star_branch does
     fintree = item.get("fintree")
     if not (_int_list(fintree) and _objects_with(item.get("leaves"), "side")):
         raise DomainError(
@@ -363,20 +364,18 @@ def _branch_from_json(item: dict) -> SideBranchDatum:
             "objects with 'side'"
         )
     leaf_data = []
-    prev = None
     for leaf in item["leaves"]:
         side = leaf["side"]
-        if leaf_data and side == prev:
-            d = leaf_data[-1]
-        elif side == "terminal":
+        if side == "terminal":
             d = TERMINAL
         else:
             d = _read("leaf field 'side'", TreeDatum.from_json, side)
+            if leaf_data and d == leaf_data[-1]:
+                d = leaf_data[-1]
         k = _json_num(leaf.get("repeat", 1), "leaf field 'repeat'")
         if not 1 <= k <= len(fintree):
             raise InvalidDatum(f"leaf repeat {k} is not in 1..{len(fintree)}, the fintree size")
         leaf_data.extend([d] * k)
-        prev = side
     return SideBranchDatum(tuple(fintree), tuple(leaf_data))
 
 
@@ -405,7 +404,7 @@ def _skeleton_table(sk: SkeletonDatum, m: int) -> SkeletonTable:
     depth_fns = [const_fn(0, m)] * n
     for j in range(1, n):
         ln, up = sk.lengths[j - 1], depth_fns[parents[j]]
-        depth_fns[j] = INFINITY if ln is INFINITY or up is INFINITY else up + ln
+        depth_fns[j] = INFINITY if ln is INFINITY else up + ln
     size = [1] * n
     for j in range(n - 1, 0, -1):
         size[parents[j]] += size[j]
@@ -455,6 +454,41 @@ class _Budget:
         self.used += k
         if self.used > self.limit:
             raise NodeBudgetExceeded(f"expansion exceeds {self.limit} nodes")
+
+
+def _skeleton_nodes(D: TreeDatum, kappa: tuple, cap: int) -> list:
+    """The skeleton nodes of T(kappa) down to depth cap, each after its
+    parent: (depth, position of the parent in the list (-1 at the root),
+    side branch, parameters of the branch).  Joints are numbered parents
+    first, so one loop over them meets each joint after it is placed."""
+    sk = D.skeleton
+    nodes = [(0, -1, D.joint_branch(0), kappa)]
+    placed = {0: 0}  # joint -> its position in nodes, for joints within the cap
+    for j in range(sk.num_joints):
+        if j not in placed:
+            continue
+        at = placed[j]
+        depth = nodes[at][0]
+        for j2 in sk.kids[j]:
+            ln = sk.lengths[j2 - 1]
+            if ln is INFINITY:
+                end = cap + 1  # materialize to the cap; no end joint
+            else:
+                length = eval_linear(ln, kappa)
+                if length < 1:
+                    raise InvalidDatum(
+                        f"bone into joint {j2} has length {length} at {kappa}"
+                    )
+                end = depth + length
+            par = at
+            for lam in range(depth + 1, min(end, cap + 1)):
+                params = kappa + (lam,)
+                nodes.append((lam, par, D.find_piece(j2, params)[1], params))
+                par = len(nodes) - 1
+            if end <= cap:
+                placed[j2] = len(nodes)
+                nodes.append((end, par, D.joint_branch(j2), kappa))
+    return nodes
 
 
 def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> TruncTree:
@@ -510,36 +544,13 @@ def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> Tr
     # _breadth_first orders a layer by parent, then by the order the nodes
     # were made, so the tree depends only on the order in which each node's
     # children are made: skeleton children in kids order, then side
-    # branches.  Joints are numbered parents first, so one loop over them
-    # meets each joint after the joint above it has placed it.
-    sk = D.skeleton
-    placed = {0: (0, 0)}  # joint -> (node, depth), for joints within the cap
-    for j in range(sk.num_joints):
-        if j not in placed:
-            continue
-        node, depth = placed[j]
-        for j2 in sk.kids[j]:
-            ln = sk.lengths[j2 - 1]
-            if ln is INFINITY:
-                length = cap - depth + 1  # materialize to the cap; no end joint
-            else:
-                length = eval_linear(ln, kappa)
-                if length < 1:
-                    raise InvalidDatum(
-                        f"bone into joint {j2} has length {length} at {kappa}"
-                    )
-            cur = node
-            chain = []
-            for lam in range(depth + 1, min(depth + length, cap + 1)):
-                cur = new_node(lam, cur)
-                chain.append((cur, lam))
-            if ln is not INFINITY and depth + length <= cap:
-                placed[j2] = new_node(depth + length, cur), depth + length
-            for nxt, lam in chain:
-                _, br = D.find_piece(j2, kappa + (lam,))
-                attach_branch(nxt, lam, br, kappa + (lam,))
-        if not sk.is_virtual(j):
-            attach_branch(node, depth, D.joint_branch(j), kappa)
+    # branches.  Every skeleton node is made before any side branch.
+    nodes = _skeleton_nodes(D, kappa, cap)
+    ids = [0]  # each skeleton node's position in its layer
+    for depth, at, _, _ in nodes[1:]:
+        ids.append(new_node(depth, ids[at]))
+    for (depth, _, br, params), node in zip(nodes, ids):
+        attach_branch(node, depth, br, params)
     return TruncTree(cap, _breadth_first(parents))
 
 
@@ -564,9 +575,9 @@ def _breadth_first(parents: list[list[int]]) -> list[list[int]]:
 def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
     """Layer sizes of expand(D, kappa, p, depth_cap) without building the tree.
 
-    Follows the expansion semantics node-for-node (skeleton, side branches,
-    T(Z_p) factors), so it is an independent check against the generating
-    function algebra even when the tree itself is too large to materialize.
+    Takes the skeleton nodes from expand's walk and follows the expansion
+    node for node (side branches, T(Z_p) factors), so it is an independent
+    check against the generating function algebra even for huge trees.
     """
     kappa = tuple(int(k) for k in kappa)
     if _memo is None:
@@ -595,27 +606,9 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
             for i in range(1, rem + 1):
                 counts[d + i] += p**i * sub[i]
 
-    sk = D.skeleton
-    placed = {0: 0}  # joint -> depth, for joints within the cap
-    for j in range(sk.num_joints):
-        if j not in placed:
-            continue
-        depth = placed[j]
+    for depth, _, br, params in _skeleton_nodes(D, kappa, depth_cap):
         counts[depth] += 1
-        if not sk.is_virtual(j):
-            add_branch(depth, D.joint_branch(j), kappa)
-        for j2 in sk.kids[j]:
-            ln = sk.lengths[j2 - 1]
-            if ln is INFINITY:
-                length = depth_cap - depth + 1
-            else:
-                length = eval_linear(ln, kappa)
-            for lam in range(depth + 1, min(depth + length, depth_cap + 1)):
-                counts[lam] += 1
-                _, br = D.find_piece(j2, kappa + (lam,))
-                add_branch(lam, br, kappa + (lam,))
-            if ln is not INFINITY and depth + length <= depth_cap:
-                placed[j2] = depth + length
+        add_branch(depth, br, params)
     _memo[key] = counts
     return counts
 
@@ -681,19 +674,21 @@ def validate(D: TreeDatum, require_normal=False, _memo=None) -> list[str]:
         report.append("domain: no points found while probing")
 
     # bone lengths: positive integers on the sampled domain
+    fractional = set()  # bones whose length is not an integer somewhere
     for j, ln in enumerate(D.skeleton.lengths, start=1):
         if ln is INFINITY:
             continue
         for kappa in samples:
             try:
                 v = eval_linear(ln, kappa)
-            except Exception as exc:
+            except NonIntegral as exc:
                 report.append(f"bone {j}: {exc}")
+                fractional.add(j)
                 break
             if v < 1:
                 report.append(f"bone {j}: length {v} at {kappa} is not positive")
                 break
-        if require_normal and D.m:
+        if require_normal and D.m and j not in fractional:
             residues = {eval_linear(ln, kappa) % D.rho for kappa in samples}
             if len(residues) > 1:
                 report.append(f"normal: bone {j} length mod rho varies on domain")
@@ -701,11 +696,12 @@ def validate(D: TreeDatum, require_normal=False, _memo=None) -> list[str]:
     # each piece lies strictly inside its bone, and the pieces cover the
     # bone's depths without overlap, both decided from exact depth ranges
     for j in range(1, D.skeleton.num_joints):
+        if j in fractional or D.skeleton.parents[j] in fractional:
+            fractional.add(j)  # the joint depths need not be integers below
+            continue
         pieces = D.bone_pieces(j)
         lo_fn = joint_depth_fn(D, D.skeleton.parents[j])
         ln = D.skeleton.lengths[j - 1]
-        if lo_fn is INFINITY:
-            continue
         overrun = set()  # pieces already reported
         for kappa in samples:
             lo = eval_linear(lo_fn, kappa)

@@ -411,8 +411,8 @@ class _Lifter:
         self.node_budget = node_budget
         self.search_budget = search_budget
         self.alive_budget = [node_budget]
+        # (depth, label) -> status; None: no quick status, not yet searched
         self.status: dict = {}
-        self.quick: dict = {}
         self.wit_cache: dict = {}
         self.covering: dict = {}  # (depth, label) -> _Image, for a Yes
         # the listed tree so far, one entry per layer: labels, parents
@@ -486,12 +486,12 @@ class _Lifter:
     def _quick(self, label, depth, fx=None):
         """A status without a search, or None: at a covering class the
         cover's Yes or No, else a Yes from a witness or a Newton
-        certificate.  fx is f(label) when the caller has it.  Memoised with
-        the None, since a cut search is answered again from every class
-        below it."""
+        certificate.  fx is f(label) when the caller has it.  Memoised in
+        the status map with the None, since a cut search is answered again
+        from every class below it."""
         key = (depth, label)
-        if key in self.quick:
-            return self.quick[key]
+        if key in self.status:
+            return self.status[key]
         found = self._minor(label, depth) if depth else None
         if found is not None:
             image, cols = found
@@ -510,7 +510,7 @@ class _Lifter:
                 cert = newton_certify(self.sys, vec(self.p, depth, label))
                 if isinstance(cert, Certified) and cert.depth >= depth:
                     st = Yes(cert, "exact" if cert.exact else "newton", depth, label)
-        self.quick[key] = st
+        self.status[key] = st
         return st
 
     def _search(self, label, depth, g, budget):
@@ -544,11 +544,7 @@ class _Lifter:
         if depth >= self.target:
             return Unknown(self.delta)
         for kid in kids:
-            st = self.status.get((depth + 1, kid))
-            if st is None:
-                st = self._quick(kid, depth + 1)
-                if st is not None:
-                    self.status[(depth + 1, kid)] = st
+            st = self.status.get((depth + 1, kid)) or self._quick(kid, depth + 1)
             if isinstance(st, Yes):
                 return st
         all_no = True

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iproduct, zip_longest
-from math import ceil, floor as _floor, gcd, lcm
+from math import ceil, floor as _floor, gcd, lcm, prod
 
 from .errors import (
     DomainError,
@@ -27,6 +26,14 @@ from .errors import (
     _objects_with,
 )
 from .ratfun import RationalGF, _coef, gf_sum, gf_zero
+
+# the largest product of a cell's congruence moduli that a file may give:
+# each modulus rho puts a factor (1 - Y^rho) into the cell's generating
+# function, whose exact division takes one step per exponent unit, and the
+# steps multiply across coordinates
+MODULUS_LIMIT = 10**4
+# the most lattice points in the box that _check_disjoint samples
+DISJOINT_BOX_LIMIT = 10**6
 
 
 class _Infinity:
@@ -254,6 +261,8 @@ class GammaCell:
             (_json_num(c["r"], "cell field 'r'"), _json_num(c["rho"], "cell field 'rho'"))
             for c in data["cong"]
         )
+        if prod(rho for _, rho in cong) > MODULUS_LIMIT:
+            raise DomainError(f"cell field 'rho': the moduli multiply to more than {MODULUS_LIMIT}")
         return GammaCell(tuple(bounds), cong)
 
 
@@ -328,7 +337,8 @@ def point_set(point) -> GammaSet:
 
 
 def _check_disjoint(cells, m):
-    """Pairwise disjointness: exact for m <= 1, box-sampled otherwise."""
+    """Pairwise disjointness: exact for m <= 1, otherwise sampled on a box
+    of at most DISJOINT_BOX_LIMIT points (a larger box is a DomainError)."""
     if len(cells) < 2:
         return
     if m == 1:
@@ -345,6 +355,9 @@ def _check_disjoint(cells, m):
                 span = max(span, abs(int(hi.const)) + 1)
         for _, rho in c.cong:
             span = max(span, 2 * rho)
+    if (2 * span + 9) ** m > DISJOINT_BOX_LIMIT:
+        raise DomainError(f"the disjointness check of {m}-dimensional cells needs a box of side "
+                          f"{2 * span + 9}, above the limit of {DISJOINT_BOX_LIMIT} points")
     box = [span + 4] * m
     seen = set()
     for c in cells:
@@ -417,9 +430,8 @@ def members(M, box, floor=0):
     return sorted(pts)
 
 
-@lru_cache(maxsize=None)
 def cell_nonempty(c: GammaCell) -> bool:
-    """Probe-based nonemptiness (greedy box widening), cached."""
+    """Probe-based nonemptiness (greedy box widening)."""
     span = 4
     for lo, hi in c.bounds:
         span = max(span, 2 * abs(int(lo.const)) + 2)

@@ -6,10 +6,9 @@ pieces contribute over their cells, side branches multiply by the T(Z_p)
 factor via the substitution Z -> pZ, and the base case is the lattice-cell
 generating function.  All arithmetic is exact.
 
-The recursion is memoised per call: within one datum_poincare call, each
-distinct (side datum, domain) pair is expanded once, however many leaves
-carry it (star_branch repeats one side datum p^n - 1 times).  The memo dies
-with the call.
+The recursion keeps no memo: _branch_gf groups a branch's leaves by side
+datum, so a star branch (one side datum repeated p^n - 1 times) computes
+its side datum once.
 """
 
 from __future__ import annotations
@@ -126,18 +125,13 @@ def datum_poincare(D: TreeDatum, p: int) -> RationalGF:
         for pt in members(D.domain, [8] * D.m, floor=-8)[:100]:
             if any(k < 0 for k in pt):
                 raise DomainNotNonnegative(f"domain contains {pt}")
-    return _datum_gf(D, D.domain, p, {})
+    return _datum_gf(D, D.domain, p)
 
 
-def _datum_gf(D: TreeDatum, dom: GammaSet, p: int, memo: dict) -> RationalGF:
+def _datum_gf(D: TreeDatum, dom: GammaSet, p: int) -> RationalGF:
     """P of the datum restricted to dom; dom's first D.m coordinates are the
     datum's parameters, trailing coordinates are spectators from outer
-    shifts (they appear in the result as their own Y variables).  memo maps
-    (datum, domain) to results already computed in this call."""
-    key = (D, dom)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    shifts (they appear in the result as their own Y variables)."""
     m_tot = dom.m
     variables = _vars(m_tot)
     parts = []
@@ -150,7 +144,7 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int, memo: dict) -> RationalGF:
             ),
             m_tot + 1,
         )
-        g = _branch_gf(D.joint_branch(j), shifted, p, memo)
+        g = _branch_gf(D.joint_branch(j), shifted, p)
         parts.append(substitute(g, f"Y{m_tot + 1}", 1, {"Z": 1}))
     for j, piece, br in D.bone_branches:
         cells = []
@@ -160,14 +154,13 @@ def _datum_gf(D: TreeDatum, dom: GammaSet, p: int, memo: dict) -> RationalGF:
                 cells.append(merged)
         if not cells:
             continue
-        g = _branch_gf(br, GammaSet(tuple(cells), m_tot + 1), p, memo)
+        g = _branch_gf(br, GammaSet(tuple(cells), m_tot + 1), p)
         g = substitute(g, f"Y{D.m + 1}", 1, {"Z": 1})
         parts.append(_rename(g, variables))
-    memo[key] = total = gf_sum(variables, parts)
-    return total
+    return gf_sum(variables, parts)
 
 
-def _branch_gf(br, dom: GammaSet, p: int, memo: dict) -> RationalGF:
+def _branch_gf(br, dom: GammaSet, p: int) -> RationalGF:
     """GF of a side branch summed over the attachment sites in dom: fintree
     nodes weighted Z^depth, each non-terminal leaf continuing with
     T(Z_p) x side tree via the scaling substitution Z -> pZ.  Nodes that
@@ -184,7 +177,7 @@ def _branch_gf(br, dom: GammaSet, p: int, memo: dict) -> RationalGF:
     for side, w in weights.items():
         # a side leaf itself is depth 0 of the attached T(Z_p) x side tree
         g = base if side is TERMINAL else substitute(
-            _datum_gf(side, dom, p, memo), "Z", p, {"Z": 1}
+            _datum_gf(side, dom, p), "Z", p, {"Z": 1}
         )
         parts.append(gf_mul(g, RationalGF.make(variables, w, {})))
     return gf_sum(variables, parts)

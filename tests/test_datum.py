@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,19 @@ def test_expand_counts_agrees_with_expand():
         assert TruncTree.from_json(t.to_json()).to_json() == t.to_json()
 
 
+def test_expand_counts_refuses_what_expand_refuses():
+    # a bone of length k - 2 is too short at k = 1 and 2, where the counts
+    # once went on and counted the root more than once
+    D = y_datum(linear([1], -2), m=1)
+    for k, length in ((1, -1), (2, 0)):
+        msg = f"bone into joint 1 has length {length} at {(k,)}"
+        for route in (expand, expand_counts):
+            with pytest.raises(InvalidDatum, match=re.escape(msg)):
+                route(D, (k,), 3, 4)
+    assert expand(D, (3,), 3, 4).layer_sizes() == [1, 1, 2, 2, 2]
+    assert expand_counts(D, (3,), 3, 4) == [1, 1, 2, 2, 2]
+
+
 def test_deep_chain_expands_without_recursion(tmp_path, capsys):
     D = chain_datum(1500)
     assert is_isomorphic(expand(D, (), 3, 1600), path_tree(1600))
@@ -294,6 +308,19 @@ def test_validate_reports_problems():
         level=0,
     )
     assert any("level-0" in msg for msg in validate(D3))
+
+
+def test_validate_reports_a_non_integral_bone_once(tmp_path, capsys):
+    # the bone length k/2 + 1 is not an integer at k = 1: validate reports
+    # it instead of raising NonIntegral from the piece or normality checks
+    D = y_datum(linear(["1/2"], 1), m=1)
+    for require_normal in (False, True):
+        assert validate(D, require_normal) == ["bone 1: 1/2*k1 + 1 = 3/2 at (1,)"]
+    path = tmp_path / "half.datum.json"
+    path.write_text(json.dumps(D.to_json()))
+    assert main(["poincare", "--datum", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bone 1:") and err.count("\n") == 1, err
 
 
 def test_validate_side_level_and_arity():

@@ -244,8 +244,14 @@ def test_malformed_datum_numbers_are_input_errors(tmp_path, capsys):
     leaf = joint["leaves"][0]
     sk = good["skeleton"]
     cell = good["domain"]["cells"][0]
+    # two leaves written out, one with a float level: JSON values that
+    # compare equal are not equal data, in either order
+    one = {"side": leaf["side"]}
+    floated = {"side": {**leaf["side"], "level": 0.0}}
     path = tmp_path / "bad.datum.json"
     for bad, field in (
+        ({**good, "joint_branches": [{**joint, "leaves": [one, floated]}]}, "'level'"),
+        ({**good, "joint_branches": [{**joint, "leaves": [floated, one]}]}, "'level'"),
         ({**good, "m": None}, "'m'"),
         ({**good, "rho": []}, "'rho'"),
         ({**good, "rho": True}, "'rho'"),

@@ -19,6 +19,7 @@ from padictrees.cli import main
 from padictrees.datum import cusp_datum, y_datum, zpn_datum
 from padictrees.enum_trees import naive_tree
 from padictrees.errors import PadicTreesError
+from padictrees.gamma import INFINITY, GammaCell, GammaSet, cell, linear
 from padictrees.poincare import datum_poincare
 from padictrees.polysys import cusp_system
 from padictrees.ratfun import RationalGF
@@ -138,3 +139,24 @@ def test_mutated_cloud(doc):
 @given(_mutants(datum_poincare(cusp_datum(3), 3).to_json()))
 def test_mutated_series(doc):
     _reader_answers(RationalGF.from_json, doc)
+
+
+def test_huge_modulus_in_a_domain_cell():
+    # the generating function of a modulus-10^30 domain was divided out one
+    # exponent unit at a time
+    doc = y_datum(linear([1], 1), m=1).to_json()
+    doc["domain"]["cells"][0]["cong"][0]["rho"] = 10**30
+    _commands_answer(doc, ["poincare", "--datum", "FILE"],
+                     ["expand", "FILE", "--p", "3", "--depth", "2", "--param", "0"])
+    _reader_answers(GammaCell.from_json, doc["domain"]["cells"][0])
+
+
+def test_huge_bound_in_a_two_cell_set():
+    # the disjointness check of two m = 2 cells sampled a box as wide as
+    # their bound constants
+    far, near = cell([(10**30, INFINITY), (0, INFINITY)]), cell([(0, 0), (0, INFINITY)])
+    domain = {"cells": [far.to_json(), near.to_json()], "m": 2}
+    _reader_answers(GammaSet.from_json, domain)
+    doc = y_datum(linear([1, 0], 1), m=2).to_json()
+    doc["domain"] = domain
+    _commands_answer(doc, ["poincare", "--datum", "FILE"])

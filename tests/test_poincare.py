@@ -49,8 +49,8 @@ def test_zpn2_series():
 
 
 def test_zpn_series_closed_form_through_level_3():
-    # level 3 needs the per-call memo: each star branch repeats its side
-    # datum p^n - 1 times
+    # level 3 stays fast because _branch_gf sums each star branch's side
+    # datum once, though the branch repeats it p^n - 1 times
     for n in range(4):
         for p in (2, 3, 5):
             D = zpn_datum(n, p)
