@@ -27,13 +27,12 @@ from .errors import (
 )
 from .ratfun import RationalGF, _coef, gf_sum, gf_zero
 
-# the largest product of a cell's congruence moduli that a file may give:
-# each modulus rho puts a factor (1 - Y^rho) into the cell's generating
-# function, whose exact division takes one step per exponent unit, and the
-# steps multiply across coordinates
+# the largest product of a cell's congruence moduli that cell_gf sums over:
+# its series is divided out one exponent unit at a time, and the units
+# multiply across coordinates
 MODULUS_LIMIT = 10**4
-# the most lattice points in the box that _check_disjoint samples
-DISJOINT_BOX_LIMIT = 10**6
+# the most lattice steps _check_disjoint walks in one cell
+DISJOINT_LIMIT = 10**6
 
 
 class _Infinity:
@@ -261,8 +260,6 @@ class GammaCell:
             (_json_num(c["r"], "cell field 'r'"), _json_num(c["rho"], "cell field 'rho'"))
             for c in data["cong"]
         )
-        if prod(rho for _, rho in cong) > MODULUS_LIMIT:
-            raise DomainError(f"cell field 'rho': the moduli multiply to more than {MODULUS_LIMIT}")
         return GammaCell(tuple(bounds), cong)
 
 
@@ -337,8 +334,7 @@ def point_set(point) -> GammaSet:
 
 
 def _check_disjoint(cells, m):
-    """Pairwise disjointness: exact for m <= 1, otherwise sampled on a box
-    of at most DISJOINT_BOX_LIMIT points (a larger box is a DomainError)."""
+    """Pairwise disjointness: exact for m <= 1, box-sampled otherwise."""
     if len(cells) < 2:
         return
     if m == 1:
@@ -355,13 +351,10 @@ def _check_disjoint(cells, m):
                 span = max(span, abs(int(hi.const)) + 1)
         for _, rho in c.cong:
             span = max(span, 2 * rho)
-    if (2 * span + 9) ** m > DISJOINT_BOX_LIMIT:
-        raise DomainError(f"the disjointness check of {m}-dimensional cells needs a box of side "
-                          f"{2 * span + 9}, above the limit of {DISJOINT_BOX_LIMIT} points")
     box = [span + 4] * m
     seen = set()
     for c in cells:
-        for pt in cell_members(c, box, floor=-span - 4):
+        for pt in cell_members(c, box, floor=-span - 4, limit=DISJOINT_LIMIT):
             if pt in seen:
                 raise DomainError(f"cells intersect at {pt}")
             seen.add(pt)
@@ -392,16 +385,19 @@ def merge_cong(c1, c2):
     return ((r1 + rho1 * t) % mod, mod)
 
 
-def cell_members(c: GammaCell, box, floor=0):
+def cell_members(c: GammaCell, box, floor=0, limit=None):
     """Lattice points of the cell with coordinates <= box (lexicographic).
 
-    floor guards against unbounded-below enumeration of malformed cells.
+    floor guards against unbounded-below enumeration of malformed cells; a
+    walk past limit coordinate values is refused before that range is walked.
     """
     if len(box) != c.m:
         raise DomainError("box arity mismatch")
     out = []
+    steps = 0
 
     def rec(prefix):
+        nonlocal steps
         i = len(prefix)
         if i == c.m:
             out.append(tuple(prefix))
@@ -413,6 +409,10 @@ def cell_members(c: GammaCell, box, floor=0):
         if hi_fn is not INFINITY:
             hi_i = min(hi_i, _floor(hi_fn.value(prefix)))
         k = lo_i + (r - lo_i) % rho
+        if limit is not None and k <= hi_i:
+            steps += (hi_i - k) // rho + 1
+            if steps > limit:
+                raise DomainError(f"the cell has more than {limit} lattice steps in the box")
         while k <= hi_i:
             rec(prefix + [k])
             k += rho
@@ -482,6 +482,8 @@ def cell_gf(M, variables=None) -> RationalGF:
 
 def _one_cell_gf(c: GammaCell, variables) -> RationalGF:
     m = c.m
+    if prod(rho for _, rho in c.cong) > MODULUS_LIMIT:
+        raise DomainError(f"a cell's congruence moduli 'rho' multiply to more than {MODULUS_LIMIT}")
     if all(hi == lo for lo, hi in c.bounds):
         return _point_gf(c, variables)
     init = (1, tuple(var(j, m) for j in range(m)), {})

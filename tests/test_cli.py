@@ -8,6 +8,7 @@ import pytest
 from padictrees.cli import _DISPATCH, _UsageError, _label_texts, build_parser, main
 from padictrees.datum import cusp_datum, expand_counts, point_datum, y_datum
 from padictrees.enum_trees import No, Yes, lifted_tree
+from padictrees.gamma import INFINITY, GammaSet, interval_cell
 from padictrees.poincare import datum_poincare
 from padictrees.polysys import cusp_system, make_system
 from padictrees.ratfun import RationalGF, gf_equal
@@ -116,6 +117,19 @@ def test_poincare_datum_coeffs(files, capsys):
     )
     assert code == 0
     assert out.split() == "1 5 21 103 521 2603 13011 65103 325511".split()
+
+
+def test_poincare_datum_with_thin_cells_in_its_joint_set(files, capsys):
+    # the joint set of a two-cell m = 1 domain has 2-dimensional cells in a
+    # sampling box of side 1011, but only about 500 points in them
+    doc = point_datum(m=1).to_json()
+    doc["domain"] = GammaSet((interval_cell(0, 499), interval_cell(500, INFINITY)), 1).to_json()
+    path = files["dir"] + "/thin.json"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "poincare", "--datum", path, "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.strip() == "(1) / (1 - Y1)(1 - Z)"
 
 
 def test_poincare_tree_coeffs(files, capsys, tmp_path):

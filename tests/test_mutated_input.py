@@ -151,6 +151,16 @@ def test_huge_modulus_in_a_domain_cell():
     _reader_answers(GammaCell.from_json, doc["domain"]["cells"][0])
 
 
+def test_moduli_merged_into_a_summed_cell():
+    # each modulus is small, but a bone piece meets the domain cell in their
+    # lcm, 9967 * 9973, which cell_gf divided out one exponent unit at a time
+    doc = y_datum(linear([1], 1), m=1).to_json()
+    doc["domain"]["cells"][0]["cong"][0]["rho"] = 9973
+    for br in doc["bone_branches"]:
+        br["piece"]["cong"][0]["rho"] = 9967
+    _commands_answer(doc, ["poincare", "--datum", "FILE"])
+
+
 def test_huge_bound_in_a_two_cell_set():
     # the disjointness check of two m = 2 cells sampled a box as wide as
     # their bound constants
