@@ -459,9 +459,16 @@ class _Budget:
 def _skeleton_nodes(D: TreeDatum, kappa: tuple, cap: int) -> list:
     """The skeleton nodes of T(kappa) down to depth cap, each after its
     parent: (depth, position of the parent in the list (-1 at the root),
-    side branch, parameters of the branch).  Joints are numbered parents
-    first, so one loop over them meets each joint after it is placed."""
+    side branch, parameters of the branch); none for an empty skeleton.
+    Joints are numbered parents first, so one loop over them meets each
+    joint after it is placed.  Refuses a kappa outside the domain."""
+    if len(kappa) != D.m:
+        raise ParameterOutsideDomain(f"expected {D.m} parameters, got {len(kappa)}")
+    if D.m and not D.domain.contains(kappa):
+        raise ParameterOutsideDomain(f"{kappa} is not in the domain")
     sk = D.skeleton
+    if sk.num_joints == 0:
+        return []
     nodes = [(0, -1, D.joint_branch(0), kappa)]
     placed = {0: 0}  # joint -> its position in nodes, for joints within the cap
     for j in range(sk.num_joints):
@@ -497,11 +504,8 @@ def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> Tr
     from .trees import TruncTree, _graft, empty_tree, full_tree, product
 
     kappa = tuple(int(k) for k in kappa)
-    if len(kappa) != D.m:
-        raise ParameterOutsideDomain(f"expected {D.m} parameters, got {len(kappa)}")
-    if D.m and not D.domain.contains(kappa):
-        raise ParameterOutsideDomain(f"{kappa} is not in the domain")
-    if D.skeleton.num_joints == 0:
+    nodes = _skeleton_nodes(D, kappa, depth_cap)
+    if not nodes:
         return empty_tree(depth_cap)
     cap = depth_cap
     budget = _Budget(node_budget)
@@ -545,7 +549,6 @@ def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> Tr
     # were made, so the tree depends only on the order in which each node's
     # children are made: skeleton children in kids order, then side
     # branches.  Every skeleton node is made before any side branch.
-    nodes = _skeleton_nodes(D, kappa, cap)
     ids = [0]  # each skeleton node's position in its layer
     for depth, at, _, _ in nodes[1:]:
         ids.append(new_node(depth, ids[at]))
@@ -585,8 +588,6 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
     key = (D, kappa, depth_cap)
     if key in _memo:
         return _memo[key]
-    if D.skeleton.num_joints == 0:
-        return [0] * (depth_cap + 1)
     counts = [0] * (depth_cap + 1)
 
     def add_branch(depth, branch, params):

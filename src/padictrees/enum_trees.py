@@ -50,17 +50,17 @@ spine needs no recursion.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, compress, product as iproduct
+from itertools import combinations, product as iproduct
 from operator import add, mul
 
 from .errors import DomainError, NodeBudgetExceeded
 from .padic import Certified, newton_certify, pval, vec
 from .polysys import PolySystem, _int_det, shift_scale
-from .trees import Ball, Cheese, TruncTree, cheese_restrict, empty_tree
+from .trees import Ball, Cheese, TruncTree, _keep_layers, cheese_restrict, empty_tree
 
 __all__ = [
     "Yes",
@@ -671,9 +671,6 @@ class _Statuses(Mapping):
                 return st
         raise KeyError(key)  # unreachable: the root is listed
 
-    def __contains__(self, key) -> bool:
-        return key in self.listed or self._is_naive(key)
-
     def implied(self):
         """(key, No) for every naive class below a listed No."""
         for (d, lab), st in self.listed.items():
@@ -699,25 +696,6 @@ class _Statuses(Mapping):
     @cached_property
     def _len(self) -> int:
         return len(self.listed) + sum(1 for _ in self.implied())
-
-    def items(self):
-        return _StatusItems(self)
-
-    def values(self):
-        return _StatusValues(self)
-
-
-class _StatusItems(ItemsView):
-    def __iter__(self):
-        yield from self._mapping.listed.items()
-        yield from self._mapping.implied()
-
-
-class _StatusValues(ValuesView):
-    def __iter__(self):
-        yield from self._mapping.listed.values()
-        for _, st in self._mapping.implied():
-            yield st
 
 
 def lifted_tree(
@@ -754,14 +732,9 @@ def lifted_tree(
     if not isinstance(status[0][0], Yes):
         return empty_tree(depth_cap), statuses
     # Yes is closed upward (_propagate makes every ancestor of a Yes class
-    # Yes), so a listed class is in the tree exactly when its own status is
-    # Yes; at[i] is the tree index of the class i of the layer above, if Yes
-    parents, kept, at = [], [labels[0]], [0]
-    for d in range(1, depth_cap + 1):
-        yes = [isinstance(st, Yes) for st in status[d]]
-        parents.append([at[par] for par in compress(lifter.parents[d], yes)])
-        kept.append(list(compress(labels[d], yes)))
-        at = list(accumulate(yes, initial=0))
+    # Yes), so the tree keeps exactly the listed classes whose status is Yes
+    yes = [[isinstance(st, Yes) for st in layer] for layer in status]
+    parents, kept = _keep_layers(lifter.parents[1:], labels, yes)
     return TruncTree(depth_cap, parents, labels=kept), statuses
 
 
@@ -796,22 +769,13 @@ def _in_ball(q: Fraction, c: int, p: int, r: int) -> bool:
     return pval(p, d.numerator) - pval(p, d.denominator) >= r
 
 
-def tree_on_ball(
-    sys: PolySystem,
-    ball: Ball,
-    depth_cap: int,
-    delta: int | None = None,
-    node_budget: int = 10**7,
-    search_budget: int = 4000,
-) -> TruncTree:
+def tree_on_ball(sys: PolySystem, ball: Ball, depth_cap: int) -> TruncTree:
     """Tree of X on a ball: lifted enumeration started from the ball's
-    residue class, labelled by absolute residues."""
+    residue class, with lifted_tree's budgets and a window delta equal to
+    the depth, labelled by absolute residues."""
     if len(ball.center) != sys.n:
         raise DomainError("ball dimension mismatch")
-    if delta is None:
-        delta = depth_cap
-    local = _ball_system(sys, ball)
-    t, _ = lifted_tree(local, depth_cap, delta, node_budget, search_budget)
+    t, _ = lifted_tree(_ball_system(sys, ball), depth_cap, depth_cap)
     if t.labels is None:
         return t
     p, r = sys.p, ball.radius
@@ -827,17 +791,10 @@ def tree_on_ball(
     return TruncTree(t.depth_cap, t.parents, labels=labels, empty=t.empty)
 
 
-def tree_on_cheese(
-    sys: PolySystem,
-    cheese: Cheese,
-    depth_cap: int,
-    delta: int | None = None,
-    node_budget: int = 10**7,
-    search_budget: int = 4000,
-) -> TruncTree:
+def tree_on_cheese(sys: PolySystem, cheese: Cheese, depth_cap: int) -> TruncTree:
     """Tree of X on a cheese: the ball tree with hole subtrees cut off at
     the hole nodes (holes that miss X are ignored)."""
-    t = tree_on_ball(sys, cheese.outer, depth_cap, delta, node_budget, search_budget)
+    t = tree_on_ball(sys, cheese.outer, depth_cap)
     p, r0 = cheese.p, cheese.outer.radius
     present = []
     for h in cheese.holes:
@@ -850,15 +807,7 @@ def tree_on_cheese(
     return cheese_restrict(t, Cheese(cheese.outer, tuple(present), p))
 
 
-def garland_trees(
-    sys: PolySystem,
-    g: Garland,
-    kappa_list,
-    depth_cap: int,
-    delta: int | None = None,
-    node_budget: int = 10**7,
-    search_budget: int = 4000,
-):
+def garland_trees(sys: PolySystem, g: Garland, kappa_list, depth_cap: int):
     """Trees of X on the requested garland components G_kappa."""
     if len(g.x0) != sys.n or len(g.x_dir) != sys.n:
         raise DomainError("garland dimension mismatch")
@@ -870,7 +819,5 @@ def garland_trees(
             raise DomainError(f"kappa={kappa} is not in M(G)")
         center = tuple(a + sys.p**kappa * b for a, b in zip(g.x0, g.x_dir))
         ball = Ball(center, kappa + g.mu)
-        out.append(
-            (kappa, tree_on_ball(sys, ball, depth_cap, delta, node_budget, search_budget))
-        )
+        out.append((kappa, tree_on_ball(sys, ball, depth_cap)))
     return out

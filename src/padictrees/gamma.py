@@ -469,14 +469,10 @@ def cell_nonempty(c: GammaCell) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cell_gf(M, variables=None) -> RationalGF:
+def cell_gf(M) -> RationalGF:
     """Exact generating function sum over M of Y1^k1 ... Ym^km."""
     cells = M.cells if isinstance(M, GammaSet) else (M,)
-    m = M.m
-    if variables is None:
-        variables = tuple(f"Y{i + 1}" for i in range(m))
-    if len(variables) != m:
-        raise DomainError("one variable per coordinate required")
+    variables = tuple(f"Y{i + 1}" for i in range(M.m))
     return gf_sum(variables, [_one_cell_gf(c, variables) for c in cells])
 
 

@@ -159,9 +159,7 @@ def _u_eval(u: _UPrep, xs, ctx: RealizationContext) -> int:
     return p**u.lval * z.residue % p**u.prec
 
 
-def u_fn(
-    ell: LinearFn, x: PadicVec | None, ctx: RealizationContext | None = None
-) -> PadicApprox:
+def u_fn(ell: LinearFn, x: PadicVec | None, ctx: RealizationContext) -> PadicApprox:
     """A value u with v(u) = ell(v-vector of x) exactly.
 
     ell = (beta + sum a_i k_i) / e; the value is the e-th root of
@@ -171,8 +169,6 @@ def u_fn(
     holds for all i on the domain, u is 1-Lipschitz on each set of fixed
     v-vector: v(u(x) - u(x')) >= v(x - x').
     """
-    if ctx is None:
-        ctx = RealizationContext(x.p, x.prec)
     xs, kappa, xprec = (), (), ctx.prec
     if x is not None:  # None for an unparametrized datum
         xs, kappa, xprec = x.residues(), vvec(x), x.prec
@@ -201,19 +197,15 @@ class SkeletonFns:
     """The joint functions f_0 = 0, f_j = f_i + u_ell * e_slot.
 
     ells[j] lists the (slot, ell) terms of f_j with the base depth lambda
-    already folded into ell; value(j, x) evaluates to a width-tuple over
-    the coordinates behind the reserved first one.
+    already folded into ell; value(j, x, ctx=ctx) evaluates to a
+    width-tuple over the coordinates behind the reserved first one.
     """
 
     m: int
     width: int
     ells: tuple[tuple[tuple[int, LinearFn], ...], ...]
 
-    def value(self, j: int, x: PadicVec | None = None, ctx=None):
-        if ctx is None:
-            if x is None:
-                raise DomainError("a context is required without samples")
-            ctx = RealizationContext(x.p, x.prec)
+    def value(self, j: int, x: PadicVec | None = None, *, ctx: RealizationContext):
         out = [from_int(ctx.p, ctx.prec, 0)] * self.width
         for slot, ell in self.ells[j]:
             out[slot - 1] = out[slot - 1] + u_fn(ell, x, ctx)

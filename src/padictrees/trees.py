@@ -9,6 +9,7 @@ explicitly requested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .errors import (
@@ -306,7 +307,8 @@ def restrict(
     """The subtree below node, re-rooted at depth 0, of the nodes whose whole
     path from node passes keep(depth, index) (depth and index in t).
 
-    Labels and the empty flag carry over.
+    keep is asked only below a kept parent, layer by layer.  Labels and the
+    empty flag carry over.
     """
     nd, ni = node
     sizes = t.layer_sizes()
@@ -316,24 +318,29 @@ def restrict(
         depth_cap = t.depth_cap - nd
     if depth_cap > t.depth_cap - nd:
         raise DepthMismatch("subtree cannot be deeper than the source tree")
-    parents = []
-    labels = None
-    if t.labels is not None:
-        labels = [[] if t.empty else [t.labels[nd][ni]]]
-    keep_prev = {} if t.empty else {ni: 0}
+    masks = [[i == ni for i in range(sizes[nd])]]
     for depth in range(nd + 1, nd + depth_cap + 1):
-        layer, lab_layer, keep_cur = [], [], {}
-        for i, par in enumerate(t.parents[depth - 1]):
-            if par in keep_prev and keep(depth, i):
-                keep_cur[i] = len(layer)
-                layer.append(keep_prev[par])
-                if labels is not None:
-                    lab_layer.append(t.labels[depth][i])
-        parents.append(layer)
-        if labels is not None:
-            labels.append(lab_layer)
-        keep_prev = keep_cur
+        above = masks[-1]
+        masks.append([above[par] and bool(keep(depth, i))
+                      for i, par in enumerate(t.parents[depth - 1])])
+    labels = None if t.labels is None else t.labels[nd:]
+    parents, labels = _keep_layers(t.parents[nd:], labels, masks)
     return TruncTree(depth_cap, parents, labels=labels, empty=t.empty)
+
+
+def _keep_layers(parents, labels, masks):
+    """The per-depth parent lists and labels (None stays None) of the nodes
+    whose mask is set, renumbered in order.  masks[0] is the top layer's,
+    parents[k] the parent list of layer k + 1; a set mask needs a set mask
+    at its parent."""
+    at = list(accumulate(masks[0], initial=0))  # at[i]: index of node i, if kept
+    kept = []
+    for layer, mask in zip(parents, masks[1:]):
+        kept.append([at[par] for par in compress(layer, mask)])
+        at = list(accumulate(mask, initial=0))
+    if labels is not None:
+        labels = [list(compress(lab, mask)) for lab, mask in zip(labels, masks)]
+    return kept, labels
 
 
 def subtree(t: TruncTree, node: tuple[int, int], depth_cap=None) -> TruncTree:

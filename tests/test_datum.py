@@ -243,6 +243,19 @@ def test_expand_counts_refuses_what_expand_refuses():
     assert expand_counts(D, (3,), 3, 4) == [1, 1, 2, 2, 2]
 
 
+def test_expand_counts_refuses_the_parameters_expand_refuses():
+    in_0_to_3 = dataclasses.replace(
+        point_datum(1), domain=GammaSet((interval_cell(0, 3),), 1)
+    )
+    assert validate(in_0_to_3) == []
+    for D, kappa, cap in ((in_0_to_3, (5,), 4), (zpn_datum(1, 3), (7,), 3)):
+        with pytest.raises(ParameterOutsideDomain) as want:
+            expand(D, kappa, 3, cap)
+        with pytest.raises(ParameterOutsideDomain) as got:
+            expand_counts(D, kappa, 3, cap)
+        assert str(got.value) == str(want.value)
+
+
 def test_deep_chain_expands_without_recursion(tmp_path, capsys):
     D = chain_datum(1500)
     assert is_isomorphic(expand(D, (), 3, 1600), path_tree(1600))

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "demo, line",
     [
+        ("cusp_walkthrough.py", "prefix matches:     True"),
         ("glue_and_garland.py", "reglued == whole:  True"),
         ("witness_clouds.py", "manual rebuild matches: True"),
     ],

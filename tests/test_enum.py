@@ -262,6 +262,18 @@ def test_tree_on_cheese_cuts_hole():
     assert is_isomorphic(glued, full)
 
 
+def test_local_views_refuse_what_does_not_fit_the_system():
+    sys = cusp_system(5)
+    with pytest.raises(DomainError, match="ball dimension mismatch"):
+        tree_on_ball(sys, Ball((0,), 0), 2)
+    # a radius-5 hole lies below a depth-3 tree of the radius-0 ball
+    cheese = Cheese(Ball((0, 0), 0), (Ball((0, 0), 5),), 5)
+    with pytest.raises(DomainError, match="hole outside the truncated tree"):
+        tree_on_cheese(sys, cheese, 3)
+    with pytest.raises(DomainError, match="garland dimension mismatch"):
+        garland_trees(sys, Garland((0,), 1, 1, 1, (1,), 0), [1], 2)
+
+
 def test_garland_components_along_cusp():
     sys = cusp_system(5)
     g = Garland((0, 0), 2, 1, 2, (1, 0), 0)

@@ -17,7 +17,7 @@ from padictrees.datum import (
     terminal_branch,
     y_datum,
 )
-from padictrees.errors import DomainError
+from padictrees.errors import DepthMismatch, DomainError
 from padictrees.gamma import (
     INFINITY,
     LinearFn,
@@ -296,3 +296,33 @@ def test_restrict_carries_labels_and_empty():
     e = restrict(labelled_empty, lambda d, i: True)
     assert e.empty and e.labels == [[], [], []]
     assert restrict(empty_tree(2), lambda d, i: True).layer_sizes() == [0, 0, 0]
+
+
+def test_restrict_refuses_a_missing_node_and_a_deeper_cap():
+    t = full_tree(1, 2, 2)
+    for node in ((3, 0), (-1, 0), (1, 2), (2, -1)):
+        with pytest.raises(DomainError, match="node reference out of range"):
+            restrict(t, lambda d, i: True, node)
+    with pytest.raises(DepthMismatch):
+        restrict(t, lambda d, i: True, (1, 0), 2)
+
+
+def test_restrict_asks_keep_only_below_kept_parents_in_layer_order():
+    pts = [vec(3, 6, [k]) for k in (0, 1, 4, 5)]
+    t = from_points(pts, Ball((0,), 0), 2)
+    assert t.labels == [[(0,)], [(0,), (1,), (2,)], [(0,), (1,), (4,), (5,)]]
+    calls = []
+
+    def keep(d, i):
+        calls.append((d, i))
+        return t.labels[d][i] != (1,)
+
+    cut = restrict(t, keep)
+    # (2, 1) and (2, 2) lie below the dropped (1,) and are never asked
+    assert calls == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 3)]
+    assert cut.parents == [[0, 0], [0, 1]]
+    assert cut.labels == [[(0,)], [(0,), (2,)], [(0,), (5,)]]
+    calls.clear()
+    below = restrict(t, keep, (1, 2))
+    assert calls == [(2, 3)]
+    assert below.parents == [[0]] and below.labels == [[(2,)], [(5,)]]
