@@ -32,13 +32,23 @@ class _UsageError(Exception):
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI parser; given a command name, it holds only that command's
-    subparser, which answers that command's lines as the full parser does."""
-    ap = _Parser(prog="padictrees", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    """The CLI parser.  A command line builds only its own command's parser:
+    given the name, a parser whose hidden first positional "command" takes
+    that name alone, so its help, usage errors and parse results read as
+    the full parser's.  With no name, the full parser, whose subparsers
+    dispatch on the command."""
+    if command is None:
+        ap = _Parser(prog="padictrees", description=__doc__)
+        sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, help):
-        return sub.add_parser(name, help=help) if command in (None, name) else None
+        def add(name, help):
+            return sub.add_parser(name, help=help)
+    else:
+        ap = _Parser(prog=f"padictrees {command}")
+        ap.add_argument("command", choices=[command], help=argparse.SUPPRESS)
+
+        def add(name, help):
+            return ap if name == command else None
 
     def out(sp, *formats):
         sp.add_argument("--out", help="output path (default: stdout)")
@@ -337,7 +347,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # a command line that names its command needs that subparser only
+        # a command line that names its command needs that parser only
         command = argv[0] if argv and argv[0] in _DISPATCH else None
         args = build_parser(command).parse_args(argv)
         return _DISPATCH[args.command](args)

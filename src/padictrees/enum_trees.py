@@ -60,7 +60,7 @@ from operator import add, mul
 from .errors import DomainError, NodeBudgetExceeded
 from .padic import Certified, newton_certify, pval, vec
 from .polysys import PolySystem, _int_det, shift_scale
-from .trees import Ball, Cheese, TruncTree, _keep_layers, cheese_restrict, empty_tree
+from .trees import Ball, Cheese, TruncTree, _cut_holes, _keep_layers, empty_tree
 
 __all__ = [
     "Yes",
@@ -725,6 +725,8 @@ def lifted_tree(
     """
     if delta < 0:
         raise DomainError("negative certification budget")
+    if search_budget < 0:
+        raise DomainError(f"negative search budget {search_budget}")
     lifter = _Lifter(sys, depth_cap, delta, node_budget, search_budget)
     naive_tree(sys, depth_cap, node_budget, expand=lifter.walk, children=lifter.children)
     labels, status = lifter.labels, lifter.statuses
@@ -793,18 +795,9 @@ def tree_on_ball(sys: PolySystem, ball: Ball, depth_cap: int) -> TruncTree:
 
 def tree_on_cheese(sys: PolySystem, cheese: Cheese, depth_cap: int) -> TruncTree:
     """Tree of X on a cheese: the ball tree with hole subtrees cut off at
-    the hole nodes (holes that miss X are ignored)."""
-    t = tree_on_ball(sys, cheese.outer, depth_cap)
-    p, r0 = cheese.p, cheese.outer.radius
-    present = []
-    for h in cheese.holes:
-        d = h.radius - r0
-        if not 0 <= d <= depth_cap:
-            raise DomainError("hole outside the truncated tree")
-        want = h.reduced_center(p)
-        if any(tuple(lab) == want for lab in t.labels[d]):
-            present.append(h)
-    return cheese_restrict(t, Cheese(cheese.outer, tuple(present), p))
+    the hole nodes (holes that miss X are ignored, and a ball that misses X
+    gives the empty tree)."""
+    return _cut_holes(tree_on_ball(sys, cheese.outer, depth_cap), cheese, skip_missing=True)
 
 
 def garland_trees(sys: PolySystem, g: Garland, kappa_list, depth_cap: int):

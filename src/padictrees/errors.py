@@ -122,31 +122,51 @@ def load_json(path: str, from_json):
     return from_json(data)
 
 
-def _json_num(value, what: str, read=int):
+def _json_num(value, what, read=int):
     """read(value) of a JSON number or string, else a DomainError naming
     what.  read is int (a JSON integer or a decimal string), or ratfun._coef
-    or Fraction (a fraction string too); true and false are not numbers."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    or Fraction (a fraction string too); true and false are not numbers.
+    what is the name itself, or a function of no arguments that returns it
+    and is called only to build the message."""
+    # the exact JSON types are tested first, as the common case
+    kind = type(value)
+    if kind is int or kind is str or (isinstance(value, (int, str)) and kind is not bool):
         try:
             return read(value)
         except (ValueError, ZeroDivisionError):
             pass
     noun = "an integer" if read is int else "an integer or a fraction string"
-    raise DomainError(f"{what} must be {noun}, not {value!r}")
+    raise DomainError(f"{what() if callable(what) else what} must be {noun}, not {value!r}")
 
 
 def _list_of(value, ok) -> bool:
     """Whether value is a JSON list whose items all pass ok."""
-    return isinstance(value, list) and all(map(ok, value))
+    if not isinstance(value, list):
+        return False
+    for item in value:
+        if not ok(item):
+            return False
+    return True
 
 
 def _int_list(value) -> bool:
     """Whether value is a JSON list of integers (true and false are not)."""
-    return isinstance(value, list) and all(type(i) is int for i in value)
+    if not isinstance(value, list):
+        return False
+    for i in value:
+        if type(i) is not int:
+            return False
+    return True
 
 
 def _objects_with(items, *fields) -> bool:
     """Whether items is a JSON list of objects that each hold the fields."""
-    return isinstance(items, list) and all(
-        isinstance(item, dict) and all(f in item for f in fields) for item in items
-    )
+    if not isinstance(items, list):
+        return False
+    for item in items:
+        if not isinstance(item, dict):
+            return False
+        for f in fields:
+            if f not in item:
+                return False
+    return True

@@ -174,9 +174,13 @@ def linear_from_json(item):
             f"a linear form must be \"inf\" or an object with a list 'a' and 'b', "
             f"not {item!r}"
         )
-    what = f"an entry of the linear form {item!r}"
+
+    def what():
+        return f"an entry of the linear form {item!r}"
+
     return LinearFn(
-        tuple(_json_num(x, what, _coef) for x in item["a"]), _json_num(item["b"], what, _coef)
+        tuple([_json_num(x, what, _coef) for x in item["a"]]),
+        _json_num(item["b"], what, _coef),
     )
 
 

@@ -356,13 +356,23 @@ def cheese_restrict(t: TruncTree, cheese: Cheese) -> TruncTree:
     """
     if t.labels is None:
         raise LabelMissing("cheese_restrict needs residue labels")
+    return _cut_holes(t, cheese, skip_missing=False)
+
+
+def _cut_holes(t: TruncTree, cheese: Cheese, skip_missing: bool) -> TruncTree:
+    """cheese_restrict's cut, and the one place a hole is matched to its
+    node.  A hole below the tree is a DomainError, and so is a hole with no
+    node unless skip_missing (an empty tree has no node)."""
     p, r0 = cheese.p, cheese.outer.radius
     hole_nodes = set()
     for h in cheese.holes:
         d = h.radius - r0
         if not 0 <= d <= t.depth_cap:
             raise DomainError("hole outside the truncated tree")
-        hole_nodes.add(find_node_by_label(t, d, h.reduced_center(p)))
+        label = h.reduced_center(p)
+        if skip_missing and (t.empty or _label_index(t, d, label) is None):
+            continue
+        hole_nodes.add(find_node_by_label(t, d, label))
     # hole nodes stay, their strict descendants go
     return restrict(t, lambda d, i: (d - 1, t.parents[d - 1][i]) not in hole_nodes)
 
@@ -370,11 +380,19 @@ def cheese_restrict(t: TruncTree, cheese: Cheese) -> TruncTree:
 def find_node_by_label(t: TruncTree, depth: int, label) -> tuple[int, int]:
     if t.labels is None:
         raise LabelMissing("tree carries no labels")
+    i = _label_index(t, depth, label)
+    if i is None:
+        raise DomainError(f"no node with label {label} at depth {depth}")
+    return (depth, i)
+
+
+def _label_index(t: TruncTree, depth: int, label):
+    """The index of the node at depth labelled label, or None."""
     want = _hashable(label)
     for i, lab in enumerate(t.labels[depth]):
         if _hashable(lab) == want:
-            return (depth, i)
-    raise DomainError(f"no node with label {label} at depth {depth}")
+            return i
+    return None
 
 
 def _ahu_ids(trees: list[TruncTree], with_labels: bool) -> list[int]:

@@ -368,6 +368,25 @@ def test_one_subparser_answers_as_the_full_parser(capsys):
         build_parser("iso").parse_args(["enum", "s.json", "--depth", "2"])
 
 
+def test_one_subparser_parses_as_the_full_parser():
+    # a valid line per command, and an enum line that sets every flag, give
+    # the same Namespace from the command's own parser as from the full one
+    lines = [
+        ["enum", "s.json", "--depth", "3"],
+        ["enum", "s.json", "--delta", "2", "--cert-budget", "7", "--out", "o.json",
+         "--format", "dot", "--node-budget", "99", "--depth", "3"],
+        ["naive", "s.json", "--depth", "2", "--format", "text"],
+        ["expand", "d.json", "--p", "3", "--param", "1,2", "--depth", "4"],
+        ["poincare", "--datum", "d.json", "--p", "5", "--coeffs", "6"],
+        ["iso", "a.json", "b.json", "--out", "o.txt"],
+        ["realize", "d.json", "--p", "3", "--depth", "4", "--check"],
+        ["dot", "t.json", "--thick", "--p", "3", "--labels"],
+    ]
+    assert {argv[0] for argv in lines} == set(_DISPATCH)
+    for argv in lines:
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv), argv
+
+
 def _reference_sidecar(statuses) -> bytes:
     """The status sidecar written with json.dumps on one dict per row, the
     listed classes sorted by (depth, label), certificates numbered in

@@ -262,6 +262,31 @@ def test_tree_on_cheese_cuts_hole():
     assert is_isomorphic(glued, full)
 
 
+def test_tree_on_cheese_whose_ball_misses_x_is_empty():
+    # x^2 = 2 has no 3-adic point, so the ball tree is empty and has no
+    # labels to look a hole up in; the cheese tree is empty too
+    sys = make_system(3, 1, [[(1, (2,)), (-2, ())]])
+    cheese = Cheese(Ball((0,), 0), (Ball((1,), 1),), 3)
+    t = tree_on_cheese(sys, cheese, 3)
+    assert t.empty and t.layer_sizes() == [0, 0, 0, 0]
+    # a hole below the tree is still refused
+    with pytest.raises(DomainError, match="hole outside the truncated tree"):
+        tree_on_cheese(sys, Cheese(Ball((0,), 0), (Ball((1,), 4),), 3), 3)
+
+
+def test_negative_search_budget_is_refused(tmp_path, capsys):
+    sys = cusp_system(5)
+    with pytest.raises(DomainError, match="negative search budget -5"):
+        lifted_tree(sys, 2, 2, search_budget=-5)
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(sys.to_json()))
+    out = str(tmp_path / "t.json")
+    argv = ["enum", str(path), "--depth", "2", "--cert-budget", "-5", "--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: negative search budget -5\n"
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_local_views_refuse_what_does_not_fit_the_system():
     sys = cusp_system(5)
     with pytest.raises(DomainError, match="ball dimension mismatch"):

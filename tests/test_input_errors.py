@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padictrees.cli import main
-from padictrees.datum import y_datum, zpn_datum
+from padictrees.datum import TreeDatum, y_datum, zpn_datum
 from padictrees.errors import PRIME_LIMIT, DomainError, _is_prime
 from padictrees.gamma import linear, linear_from_json
 from padictrees.padic import pval
@@ -407,3 +407,47 @@ def test_a_file_that_is_not_utf8_json_names_its_path(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot read {bad} as UTF-8 JSON:"), err
             assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value", [True, 1.5, None])
+def test_reader_error_texts_are_pinned(value):
+    # the readers build their messages only when they refuse, so the texts
+    # are pinned here byte for byte, as the reader wrote them when it built
+    # them on every read
+    good = zpn_datum(1, 3).to_json()
+    joint, bone = good["joint_branches"][0], good["bone_branches"][0]
+    domain, piece = good["domain"], bone["piece"]
+    v = repr(value)
+
+    def cong(r, rho):
+        return {**domain, "cells": [{**domain["cells"][0], "cong": [{"r": r, "rho": rho}]}]}
+
+    def lo(form):
+        return {**good, "bone_branches": [
+            {**bone, "piece": {**piece, "bounds": [{"lo": form, "hi": "inf"}]}}]}
+
+    int_msg = "must be an integer, not " + v
+    form_a, form_b = {"a": [1, value], "b": "1"}, {"a": [], "b": value}
+    for bad, want in (
+        ({**good, "level": value}, "tree datum field 'level' " + int_msg),
+        ({**good, "m": value}, "tree datum field 'm' " + int_msg),
+        ({**good, "rho": value}, "tree datum field 'rho' " + int_msg),
+        ({**good, "joint_branches": [
+            {**joint, "leaves": [{**joint["leaves"][0], "repeat": value}]}]},
+         "a joint branch: leaf field 'repeat' " + int_msg),
+        ({**good, "domain": cong(value, 1)}, "tree datum field 'domain': cell field 'r' " + int_msg),
+        ({**good, "domain": cong(0, value)}, "tree datum field 'domain': cell field 'rho' " + int_msg),
+        (lo(form_a), "bone branch field 'piece': an entry of the linear form "
+         f"{form_a!r} must be an integer or a fraction string, not {v}"),
+        (lo(form_b), "bone branch field 'piece': an entry of the linear form "
+         f"{form_b!r} must be an integer or a fraction string, not {v}"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            TreeDatum.from_json(json.loads(json.dumps(bad)))
+        assert str(exc.value) == want
+    for form in ({"a": [value], "b": "1"}, form_a, form_b):
+        with pytest.raises(DomainError) as exc:
+            linear_from_json(form)
+        assert str(exc.value) == (
+            f"an entry of the linear form {form!r} must be an integer or a fraction string, not {v}"
+        )
