@@ -117,7 +117,7 @@ class SkeletonDatum:
 
 @dataclass(frozen=True)
 class SideBranchDatum:
-    """Finite tree; leaf_data aligns with leaves() and holds a TreeDatum
+    """Finite tree; leaf_data aligns with leaf_nodes and holds a TreeDatum
     (side tree of lower level, with an implicit T(Z_p) factor) or TERMINAL."""
 
     parents: tuple[int, ...]
@@ -125,7 +125,7 @@ class SideBranchDatum:
 
     def __post_init__(self):
         _check_parents(self.parents)
-        if len(self.leaf_data) != len(self.leaves()):
+        if len(self.leaf_data) != len(self.leaf_nodes):
             raise InvalidDatum("one leaf datum per fintree leaf required")
         for d in self.leaf_data:
             if d is not TERMINAL and not isinstance(d, TreeDatum):
@@ -145,8 +145,13 @@ class SideBranchDatum:
             depths[i] = depths[self.parents[i]] + 1
         return tuple(depths)
 
+    @cached_property
+    def leaf_nodes(self) -> tuple[int, ...]:
+        """The fintree leaves in increasing order, aligned with leaf_data."""
+        return tuple(i for i, k in enumerate(self.kids) if not k)
+
     def leaves(self):
-        return [i for i, k in enumerate(self.kids) if not k]
+        return list(self.leaf_nodes)
 
     def depth_of(self, i: int) -> int:
         return self.depths[i]
@@ -527,7 +532,7 @@ def expand(D: TreeDatum, kappa, p: int, depth_cap: int, node_budget=10**7) -> Tr
             d = depth + depths[i]
             par = fnodes[branch.parents[i]]
             fnodes[i] = None if d > cap or par is None else new_node(d, par)
-        for leaf, side in zip(branch.leaves(), branch.leaf_data):
+        for leaf, side in zip(branch.leaf_nodes, branch.leaf_data):
             if side is TERMINAL:
                 continue
             d = depth + depths[leaf]
@@ -596,7 +601,7 @@ def expand_counts(D: TreeDatum, kappa, p: int, depth_cap: int, _memo=None):
             d = depth + depths[i]
             if d <= depth_cap:
                 counts[d] += 1
-        for leaf, side in zip(branch.leaves(), branch.leaf_data):
+        for leaf, side in zip(branch.leaf_nodes, branch.leaf_data):
             if side is TERMINAL:
                 continue
             d = depth + depths[leaf]

@@ -224,7 +224,8 @@ def eth_root_lift(y: PadicApprox, e: int, delta: int) -> PadicApprox:
     ve = pval(p, e)
     if delta < ve + 1:
         raise DomainError(f"need delta >= v(e)+1 = {ve + 1}")
-    if y.residue % p ** min(delta + ve, y.prec) != 1 % p ** min(delta + ve, y.prec):
+    check = p ** min(delta + ve, y.prec)
+    if y.residue % check != 1 % check:
         raise DomainError("y must be = 1 mod p^(delta+v(e))")
     out_prec = y.prec - ve
     if out_prec <= 0:

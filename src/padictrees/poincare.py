@@ -167,7 +167,7 @@ def _branch_gf(br, dom: GammaSet, p: int) -> RationalGF:
     carry the same GF share one product with the sum of their Z^depth."""
     variables = _vars(dom.m)
     base = _lift_z(cell_gf(dom), variables)
-    leaf_map = dict(zip(br.leaves(), br.leaf_data))
+    leaf_map = dict(zip(br.leaf_nodes, br.leaf_data))
     weights: dict = {}  # side datum (TERMINAL: the cell GF) -> sum of Z^depth
     for u in range(len(br.parents)):
         w = weights.setdefault(leaf_map.get(u, TERMINAL), {})

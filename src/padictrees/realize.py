@@ -12,14 +12,15 @@ the fiber tree does not change and a single witness spans the node.
 The samples behind one side-branch leaf, z = p^ka (1 + p^dw s), all share
 one valuation vector, and almost everything the synthesis decides depends on
 that vector only: the skeleton terms and which of them fall below the
-truncation depth, each u_ell's valuation, thin shell and root recipe, and
-which side branches attach where, with their ball centers.  So each call of
-realize builds a plan once per (datum, valuation vector, depth) and keeps
-the plans in a dict of its own.  The pass over the cloud then takes the
-samples of one leaf together: for each it only evaluates unit parts and
-roots and adds residues, writing every point once at its final coordinates,
-and it descends once per sample and leaf into side data with side branches
-of their own.
+truncation depth, each u_ell's valuation, thin shell, root recipe and
+powers of p, and which side branches attach where, with the nonzero entries
+of their ball centers.  So each call of realize builds a plan once per
+(datum, valuation vector, depth) and keeps the plans in a dict of its own.
+The pass over the cloud then takes the samples of one leaf together: for
+each it only evaluates unit parts and roots and adds residues at the entries
+they change, writing every point once at its final coordinates, and it
+descends once per sample and leaf into side data with side branches of
+their own.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RealizationContext:
-    """Prime, working precision and the deterministic choice tables.
+    """Prime and working precision of a synthesis.
 
     Unit representatives are least positive residues and e-th roots come
     from forced digit-by-digit lifting, so equal inputs give equal clouds.
@@ -79,14 +80,6 @@ class RealizationContext:
     p: int
     prec: int
 
-    def unit_rep(self, u: int, mu: int) -> int:
-        """Representative of the class u * (1 + p^mu Z_p): the least
-        positive integer congruent to u mod p^mu."""
-        r = u % self.p**mu
-        if r % self.p == 0:
-            raise DomainError("unit representative of a non-unit")
-        return r
-
 
 # ---------------------------------------------------------------------------
 # The functions u_ell with v(u_ell(x)) = ell(v-vector of x).
@@ -94,22 +87,27 @@ class RealizationContext:
 
 
 class _UPrep(NamedTuple):
-    """What u_fn decides from the valuation vector alone.
+    """What u_fn decides from the valuation vector alone, with every power
+    of p it needs, so that an evaluation forms none.
 
-    The value is known to precision prec.  With shell = (lam, i) it is
-    p^lam x_i.  Otherwise it is p^lval times the e-th root of the unit
-    part prod (x_i / p^kappa_i)^a_i over the powers (i, a_i, p^kappa_i),
-    divided by its unit-class representative mod p^(2 v(e) + 1), all
-    known mod p^uprec.
+    The value is a residue mod mod = p^prec.  On the thin shell
+    0 <= lam = ell - kappa_i < v(e) of coordinate shell = i, it is
+    scale x_i with scale = p^lam.  Otherwise it is scale = p^lval times
+    the e-th root of the unit part prod (x_i / p^kappa_i)^a_i over the
+    powers (i, a_i, p^kappa_i), divided by its unit-class representative
+    mod rmod = p^(2 v(e) + 1), all known mod umod = p^uprec.
     """
 
-    lval: int
     prec: int
-    shell: tuple[int, int] | None
+    mod: int
+    scale: int
+    shell: int | None
     powers: tuple[tuple[int, int, int], ...] = ()
     e: int = 1
     ve: int = 0
     uprec: int = 0
+    umod: int = 1
+    rmod: int = 1
 
 
 def _u_prep(ell: LinearFn, kappa, xprec: int, ctx: RealizationContext) -> _UPrep:
@@ -132,31 +130,30 @@ def _u_prep(ell: LinearFn, kappa, xprec: int, ctx: RealizationContext) -> _UPrep
     )
     if special:
         lam, i = special[0]
-        return _UPrep(lval, min(prec, xprec + lam), (lam, i))
+        out = min(prec, xprec + lam)
+        return _UPrep(out, p**out, p**lam, i)
     powers = tuple((i, a, p ** kappa[i]) for i, a in enumerate(avec) if a)
     uprec = min([prec] + [xprec - kappa[i] for i, _, _ in powers])
     if uprec <= 2 * ve + 1:
         raise PrecisionExhausted("not enough digits to fix the unit class")
     # the root loses v(e) digits
     out = min(prec, lval + uprec - ve)
-    return _UPrep(lval, out, None, powers, e, ve, uprec)
+    return _UPrep(out, p**out, p**lval, None, powers, e, ve, uprec, p**uprec, p ** (2 * ve + 1))
 
 
-def _u_eval(u: _UPrep, xs, ctx: RealizationContext) -> int:
+def _u_eval(u: _UPrep, xs, p: int) -> int:
     """The residue mod p^u.prec of the prepared value at the samples whose
     residues are xs."""
-    p = ctx.p
     if u.shell is not None:
-        lam, i = u.shell
-        return p**lam * xs[i] % p**u.prec
-    mod = p**u.uprec
+        return u.scale * xs[u.shell] % u.mod
+    mod = u.umod
     unit = 1
     for i, a, scale in u.powers:
         unit = unit * pow(xs[i] // scale, a, mod) % mod
-    rnu = ctx.unit_rep(unit, 2 * u.ve + 1)
-    w = PadicApprox(p, u.uprec, unit * pow(rnu, -1, mod))
+    # the unit-class representative; pow refuses a non-unit
+    w = PadicApprox(p, u.uprec, unit * pow(unit % u.rmod, -1, mod))
     z = eth_root_lift(w, u.e, u.ve + 1)
-    return p**u.lval * z.residue % p**u.prec
+    return u.scale * z.residue % u.mod
 
 
 def u_fn(ell: LinearFn, x: PadicVec | None, ctx: RealizationContext) -> PadicApprox:
@@ -175,7 +172,7 @@ def u_fn(ell: LinearFn, x: PadicVec | None, ctx: RealizationContext) -> PadicApp
         if not all(map(is_finite, kappa)):
             raise PrecisionExhausted("sample coordinate vanishes at working precision")
     u = _u_prep(ell, kappa, xprec, ctx)
-    return PadicApprox(ctx.p, u.prec, _u_eval(u, xs, ctx))
+    return PadicApprox(ctx.p, u.prec, _u_eval(u, xs, ctx.p))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +317,7 @@ def _check_and_size(D: TreeDatum, p: int, _memo=None):
         while p**w < wide:
             w += 1
         need = max(need, w)
-        for leaf, side in zip(br.leaves(), br.leaf_data):
+        for leaf, side in zip(br.leaf_nodes, br.leaf_data):
             dw = br.depths[leaf]
             if side is TERMINAL:
                 if dw > 0:
@@ -355,9 +352,10 @@ class _Plan(NamedTuple):
     is visible above the truncation depth.  rows[j - 1] = (i, k) builds
     f_j from f_i by adding the k-th u-value at slot i + 1 (k is None for a
     term truncated to zero).  virtual lists the virtual joints.  targets
-    holds the attached side branches as (anchor joint, tag, ka, leaves),
-    one leaf as (leaf, dw, ball center, sample count, plan of its side
-    datum, None below the truncation depth).
+    holds the attached side branches as (anchor joint, p^ka, leaves), one
+    leaf as (tag, p^(ka + dw), axis, sample count, plan of its side datum,
+    None below the truncation depth); axis holds the nonzero entries
+    (offset, c) of (1, ball center), where sample z moves the anchor.
     """
 
     us: tuple[_UPrep, ...]
@@ -403,12 +401,14 @@ def _plan(memo, D, forms, lam_form, kappa, lam, rem, dim, ctx):
     targets = []
 
     def attach(anchor, lam_rel, br, coord_tag):
+        # _check_and_size leaves a terminal leaf only on a bare root, which
+        # adds no point below its anchor
+        if br.is_trivial():
+            return
         ka = lam + lam_rel
         centers = _embed_centers(br, p, dim - 1)
         leaves = []
-        for leaf, side in zip(br.leaves(), br.leaf_data):
-            if side is TERMINAL:
-                continue
+        for leaf, side in zip(br.leaf_nodes, br.leaf_data):
             dw = br.depths[leaf]
             rem2 = rem - lam_rel - dw
             # the samples z = p^ka (1 + p^dw s) have valuation ka
@@ -418,9 +418,9 @@ def _plan(memo, D, forms, lam_form, kappa, lam, rem, dim, ctx):
                 memo, side, (forms + (e_new - lam_form,))[: side.m],
                 e_new + dw, kappa + (ka,), ka + dw, rem2, dim - 1, ctx,
             )
-            leaves.append((leaf, dw, centers[leaf], p ** max(rem2, 0), sub))
-        if leaves:
-            targets.append((anchor, coord_tag, ka, tuple(leaves)))
+            axis = tuple((k, c) for k, c in enumerate((1,) + centers[leaf]) if c)
+            leaves.append((f"{coord_tag}w{leaf}z", p ** (ka + dw), axis, p ** max(rem2, 0), sub))
+        targets.append((anchor, p**ka, tuple(leaves)))
 
     for j, br in D.joint_branches:
         dj = eval_linear(table.depth_fns[j], kappa_d)
@@ -454,7 +454,7 @@ def _cloud(plan, samples, shift, ctx, out):
         return
     p, pmod = ctx.p, ctx.p**ctx.prec
     for xs, base, tag in samples:
-        uvals = [_u_eval(u, xs, ctx) for u in plan.us]
+        uvals = [_u_eval(u, xs, p) for u in plan.us]
         fres = [base]
         for i, k in plan.rows:
             row = fres[i]
@@ -465,23 +465,22 @@ def _cloud(plan, samples, shift, ctx, out):
         for j in plan.virtual:
             out.append((fres[j], f"{tag}f{j}"))
 
-        for anchor, coord_tag, ka, leaves in plan.targets:
-            head, at = fres[anchor][:shift], fres[anchor][shift:]
-            for leaf, dw, yw, count, sub_plan in leaves:
+        for anchor, z0, leaves in plan.targets:
+            at = fres[anchor]
+            for leaf_tag, dz, axis, count, sub_plan in leaves:
                 # samples z = p^ka (1 + p^dw s) give the full unit digit tree
                 # below the leaf ball; one s per node suffices since the side
                 # fiber varies 1-Lipschitz with z.  Sample z moves the anchor
-                # by z (1, yw) in the coordinates from shift on.
-                axis, z0, dz = (1,) + yw, p**ka, p ** (ka + dw)
-                prefix = f"{tag}{coord_tag}w{leaf}z"
+                # by z (1, ball center) in the coordinates from shift on.
+                cols = [(shift + k, c) for k, c in axis]
+                prefix = tag + leaf_tag
                 subs = []
                 for s in range(count):
                     z = z0 + dz * s
-                    subs.append((
-                        xs + (z % pmod,),
-                        head + [a + z * c for a, c in zip(at, axis)],
-                        f"{prefix}{s}/",
-                    ))
+                    row = at.copy()
+                    for k, c in cols:
+                        row[k] += z * c
+                    subs.append((xs + (z % pmod,), row, f"{prefix}{s}/"))
                 _cloud(sub_plan, subs, shift + 1, ctx, out)
 
 

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,20 @@ def test_eth_root_rejects_bad_input():
         eth_root_lift(from_int(2, 6, 1), 2, 1)  # delta < v(e)+1
     with pytest.raises(DomainError):
         eth_root_lift(from_int(5, 4, 6), 2, 0)
+
+
+def test_eth_root_checks_y_to_delta_plus_v_e_or_to_its_precision():
+    # p = 3, e = 3, delta = 2: y must be 1 mod 3^(2 + 1) when it is known
+    # that far, and 1 mod 3^prec when it is known less far
+    with pytest.raises(DomainError, match=re.escape("y must be = 1 mod p^(delta+v(e))")):
+        eth_root_lift(from_int(3, 6, 1 + 9), 3, 2)  # 1 mod 3^2, not mod 3^3
+    with pytest.raises(DomainError, match=re.escape("y must be = 1 mod p^(delta+v(e))")):
+        eth_root_lift(from_int(2, 6, 5), 2, 2)  # 1 mod 2^2, not mod 2^3
+    z = eth_root_lift(from_int(3, 2, 1 + 9), 3, 2)  # precision 2 < 3
+    assert (z.residue, z.prec) == (1, 1)
+    assert eth_root_lift(from_int(5, 2, 1 + 25), 1, 3).residue == 1
+    with pytest.raises(DomainError, match=re.escape("y must be = 1 mod p^(delta+v(e))")):
+        eth_root_lift(from_int(3, 2, 1 + 3), 3, 2)  # not 1 mod 3^prec
 
 
 def test_eth_root_round_trip_random():

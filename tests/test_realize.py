@@ -28,11 +28,12 @@ from padictrees.errors import (
     NotRealizable,
 )
 from padictrees.gamma import INFINITY, const_fn, linear, whole_quadrant
-from padictrees.padic import PadicApprox, from_int, val, vec
+from padictrees.padic import PadicApprox, from_int, pval, val, vec, vvec
 from padictrees.realize import (
     PREC_LIMIT,
     RealizationContext,
     WitnessCloud,
+    _u_prep,
     realize,
     separating_depth,
     skeleton_fns,
@@ -129,6 +130,50 @@ def test_u_fn_lipschitz_sampled():
                     violations += 1
     assert checked > 200
     assert violations == 0
+
+
+# u_fn where p divides e, on a thin shell and off it: (p, ell coefficients,
+# ell constant, rows of (coordinates, on a shell, residue, precision)), the
+# residues as the synthesis gave them before its powers of p were prepared
+# once per plan; ctx precision 16, the coordinates known to precision 14
+U_FN_P_DIVIDES_E = [
+    (2, ["1/2"], "1/2", [
+        ((14,), True, 14, 14), ((82,), True, 82, 14), ((24690,), True, 8306, 14),
+        ((56,), False, 4, 12), ((328,), False, 2868, 12), ((98760,), False, 2388, 12),
+    ]),
+    (2, ["1/2", "1/2"], 0, [
+        ((14, 82), True, 14, 14), ((82, 24690), True, 82, 14),
+        ((24690, 14), True, 8306, 14), ((28, 656), False, 1640, 12),
+        ((164, 197520), False, 136, 12), ((49380, 112), False, 680, 12),
+    ]),
+    (2, ["3/4"], 1, [
+        ((7,), True, 14, 15), ((41,), True, 82, 15), ((12345,), True, 24690, 15),
+        ((112,), True, 112, 14), ((656,), True, 656, 14), ((197520,), True, 912, 14),
+        ((1792,), False, 128, 11), ((10496,), False, 1152, 11),
+        ((3160320,), False, 1152, 11),
+    ]),
+    (3, ["1/3"], "2/3", [
+        ((15,), True, 15, 14), ((408,), True, 408, 14), ((37041,), True, 37041, 14),
+        ((405,), False, 9, 11), ((11016,), False, 30303, 11),
+        ((1000107,), False, 167112, 11),
+    ]),
+    (3, ["2/3", "1/3"], 0, [
+        ((45, 1224), True, 45, 14), ((1224, 111123), True, 1224, 14),
+        ((111123, 45), True, 111123, 14), ((15, 11016), False, 30303, 11),
+        ((408, 1000107), False, 129285, 11), ((37041, 405), False, 40023, 11),
+    ]),
+]
+
+
+@pytest.mark.parametrize("p, a, b, rows", U_FN_P_DIVIDES_E)
+def test_u_fn_residues_where_p_divides_e(p, a, b, rows):
+    ell, ctx = linear(a, b), RealizationContext(p, 16)
+    assert pval(p, ell.integral()[2]) >= 1
+    for coords, on_shell, residue, prec in rows:
+        x = vec(p, 14, coords)
+        assert (_u_prep(ell, vvec(x), x.prec, ctx).shell is not None) == on_shell
+        u = u_fn(ell, x, ctx)
+        assert (u.residue, u.prec) == (residue, prec), coords
 
 
 def test_skeleton_separation_depths():
