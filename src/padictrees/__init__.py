@@ -19,15 +19,15 @@ import types
 _EXPORTS = {
     "errors": (
         "DepthMismatch", "DomainError", "DomainNotNonnegative", "EmptyAttach",
-        "InvalidDatum", "LabelMissing", "LevelCap", "NodeBudgetExceeded",
-        "NonIntegral", "NonIntegralExponent", "NotLeafless", "NotNormal",
-        "NotRealizable", "PadicTreesError", "ParameterOutsideDomain",
-        "PieceNotFound", "PrecisionExhausted", "UnboundedBelow",
+        "InvalidDatum", "LabelMissing", "NodeBudgetExceeded", "NonIntegral",
+        "NonIntegralExponent", "NotLeafless", "NotNormal", "NotRealizable",
+        "PadicTreesError", "ParameterOutsideDomain", "PieceNotFound",
+        "PrecisionExhausted", "UnboundedBelow",
     ),
     "padic": (
-        "Certified", "INCONCLUSIVE", "PadicApprox", "PadicVec", "approx_eq",
-        "eth_root_lift", "from_int", "from_rational", "newton_certify",
-        "power_residue_index", "unit_part", "val", "val_vec", "vec", "vvec",
+        "Certified", "INCONCLUSIVE", "PadicApprox", "PadicVec",
+        "eth_root_lift", "from_int", "newton_certify", "power_residue_index",
+        "val", "vec", "vvec",
     ),
     "trees": (
         "Ball", "Cheese", "TruncTree", "attach", "cheese_restrict",
@@ -36,12 +36,12 @@ _EXPORTS = {
     ),
     "gamma": (
         "GammaCell", "GammaSet", "INFINITY", "LinearFn", "cell", "cell_gf",
-        "cell_members", "const_fn", "gamma_set", "interval_cell", "linear",
-        "members", "point_set", "whole_quadrant",
+        "cell_members", "const_fn", "interval_cell", "linear", "members",
+        "whole_quadrant",
     ),
     "ratfun": (
         "RationalGF", "expand_series", "gf_add", "gf_equal", "gf_mul",
-        "gf_normalize", "gf_sub", "substitute",
+        "gf_normalize", "substitute",
     ),
     "polysys": ("PolySystem", "cusp_system", "make_system"),
     "enum_trees": (
@@ -50,15 +50,14 @@ _EXPORTS = {
     ),
     "datum": (
         "TERMINAL", "SideBranchDatum", "SkeletonDatum", "TreeDatum", "builtin",
-        "cusp_datum", "expand", "expand_counts", "joint_depth", "point_datum",
-        "specialize_param", "spine_subtree_datum", "star_branch",
-        "terminal_branch", "validate", "y_datum", "zpn_datum",
+        "cusp_datum", "expand", "expand_counts", "point_datum",
+        "specialize_param", "star_branch", "terminal_branch", "validate",
+        "y_datum", "zpn_datum",
     ),
     "poincare": ("CompareReport", "compare", "datum_poincare"),
     "realize": (
-        "RealizationContext", "RealizationReport", "SkeletonFns",
-        "WitnessCloud", "realize", "separating_depth", "skeleton_fns", "u_fn",
-        "verify_realization",
+        "RealizationContext", "RealizationReport", "WitnessCloud", "realize",
+        "u_fn", "verify_realization",
     ),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -150,12 +150,6 @@ class SideBranchDatum:
         """The fintree leaves in increasing order, aligned with leaf_data."""
         return tuple(i for i, k in enumerate(self.kids) if not k)
 
-    def leaves(self):
-        return list(self.leaf_nodes)
-
-    def depth_of(self, i: int) -> int:
-        return self.depths[i]
-
     def is_trivial(self) -> bool:
         return len(self.parents) == 1 and self.leaf_data[0] is TERMINAL
 
@@ -438,11 +432,6 @@ def joint_depth_fn(D: TreeDatum, joint: int):
     """Depth of a joint as a LinearFn of the parameters: the sum of the bone
     lengths on the path from the root; INFINITY behind an infinite bone."""
     return D.skeleton_table.depth_fns[joint]
-
-
-def joint_depth(D: TreeDatum, joint: int, kappa=()):
-    """Depth of a joint at the parameter point kappa."""
-    return eval_linear(joint_depth_fn(D, joint), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,41 +1043,4 @@ def specialize_param(D: TreeDatum, idx: int, value: int) -> TreeDatum:
             for j, br in D.joint_branches
         ),
         bone_branches=tuple(bone_branches),
-    )
-
-
-def spine_subtree_datum(D: TreeDatum, lam: int) -> TreeDatum:
-    """The datum of the subtree below the depth-lam node of the infinite spine.
-
-    Supports unparametrized data whose skeleton is a single infinite bone
-    (the builtin library): the spine below lam keeps the same shape with all
-    pieces and side data reparametrized to relative depth, and the node at
-    depth lam becomes the root, carrying its bone side branch specialized at
-    lambda = lam as the new joint branch.
-    """
-    if D.m != 0 or D.skeleton.parents != (-1, 0):
-        raise DomainError("spine subtrees need a single-bone unparametrized datum")
-    if D.skeleton.lengths[0] is not INFINITY:
-        raise DomainError("the spine must be infinite")
-    if lam == 0:
-        return D
-    _, root_branch = D.find_piece(1, (lam,))
-    root_branch = _map_branch(root_branch, lambda s: specialize_param(s, 0, lam))
-    kept = []
-    for _, piece, br in D.bone_branches:
-        piece = shift_piece(piece, 0, lam)
-        br = _map_branch(br, lambda s: shift_datum_param(s, 0, lam))
-        lo, hi = piece.bounds[0]
-        if hi is not INFINITY and hi.const < 1:
-            continue
-        if lo.const < 1:
-            piece = GammaCell(((const_fn(1, 0), hi),), piece.cong)
-            r, rho = piece.cong[0]
-            if hi is not INFINITY and 1 + (r - 1) % rho > hi.const:
-                continue
-        kept.append((1, piece, br))
-    return replace(
-        D,
-        joint_branches=((0, root_branch),),
-        bone_branches=tuple(kept),
     )

@@ -65,10 +65,6 @@ class DomainNotNonnegative(PadicTreesError):
     """A datum domain leaves the non-negative quadrant."""
 
 
-class LevelCap(PadicTreesError):
-    """Datum recursion level exceeds what this implementation supports."""
-
-
 class NotLeafless(PadicTreesError):
     """Realization requires a datum whose expansions have no leaves."""
 

@@ -319,22 +319,9 @@ class GammaSet:
         return GammaSet(cells, m)
 
 
-def gamma_set(cells_) -> GammaSet:
-    cells_ = tuple(cells_)
-    if not cells_:
-        raise DomainError("a GammaSet needs an explicit arity when empty")
-    return GammaSet(cells_, cells_[0].m)
-
-
 def whole_quadrant(m: int) -> GammaSet:
     """Gamma_{>=0}^m as a single cell."""
     return GammaSet((cell([(0, INFINITY)] * m),), m)
-
-
-def point_set(point) -> GammaSet:
-    """The singleton {point} as a GammaSet."""
-    bounds = [(const_fn(k, i), const_fn(k, i)) for i, k in enumerate(point)]
-    return GammaSet((GammaCell(tuple(bounds), ((0, 1),) * len(point)),), len(point))
 
 
 def _check_disjoint(cells, m):

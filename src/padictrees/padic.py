@@ -12,7 +12,6 @@ witness-cloud synthesis builds one value per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, PrecisionExhausted
 
@@ -89,11 +88,6 @@ class PadicApprox:
     def __neg__(self):
         return PadicApprox(self.p, self.prec, -self.residue)
 
-    def truncate(self, prec: int) -> "PadicApprox":
-        if prec > self.prec:
-            raise PrecisionExhausted(f"cannot extend precision {self.prec} to {prec}")
-        return PadicApprox(self.p, prec, self.residue)
-
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
 
@@ -111,15 +105,6 @@ class PadicApprox:
 
 def from_int(p: int, prec: int, a: int) -> PadicApprox:
     return PadicApprox(p, prec, a)
-
-
-def from_rational(p: int, prec: int, q: Fraction) -> PadicApprox:
-    """q as an element of Z_p; the denominator must be coprime to p."""
-    q = Fraction(q)
-    if q.denominator % p == 0:
-        raise DomainError(f"{q} is not p-integral at p={p}")
-    m = p**prec
-    return PadicApprox(p, prec, q.numerator * pow(q.denominator, -1, m) % m)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -174,41 +159,9 @@ def val(x: PadicApprox) -> Valuation:
     return v
 
 
-def val_vec(x: PadicVec) -> Valuation:
-    """min of coordinate valuations: v(x) >= k iff x lies in the ball p^k Z_p^n."""
-    vs = [val(c) for c in x.coords]
-    finite = [v for v in vs if is_finite(v)]
-    if not finite:
-        return AtLeastPrec(x.prec)
-    return min(finite)
-
-
 def vvec(x: PadicVec) -> tuple[Valuation, ...]:
     """Coordinate-wise valuation vector."""
     return tuple(val(c) for c in x.coords)
-
-
-def approx_eq(x: PadicApprox, x2: PadicApprox, delta: int) -> bool:
-    """x and x' agree to relative depth delta: v(x - x') >= v(x) + delta."""
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    vx = val(x)
-    if not is_finite(vx) or not is_finite(val(x2)):
-        raise PrecisionExhausted("arguments are zero at working precision")
-    if vx + delta >= min(x.prec, x2.prec):
-        raise PrecisionExhausted(
-            f"need precision > {vx + delta} to decide approx_eq at delta={delta}"
-        )
-    d = val(x - x2)
-    return (not is_finite(d)) or d >= vx + delta
-
-
-def unit_part(x: PadicApprox) -> PadicApprox:
-    """x / p^v(x), a unit known to precision prec - v(x)."""
-    v = val(x)
-    if not is_finite(v):
-        raise PrecisionExhausted("zero at working precision has no unit part")
-    return PadicApprox(x.p, x.prec - v, x.residue // x.p**v)
 
 
 def eth_root_lift(y: PadicApprox, e: int, delta: int) -> PadicApprox:

@@ -12,7 +12,6 @@ own coefficient); that one is a Fraction.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,9 +97,6 @@ class RationalGF:
 
     def num_poly(self) -> Poly:
         return {m: c for m, c in self.numerator}
-
-    def den_counter(self) -> Counter:
-        return Counter(dict(self.denominator))
 
     def nvars(self) -> int:
         return len(self.variables)
@@ -272,10 +268,6 @@ def gf_sum(variables, parts) -> RationalGF:
 def gf_neg(f: RationalGF) -> RationalGF:
     num = {m: -c for m, c in f.numerator}
     return RationalGF.make(f.variables, num, dict(f.denominator))
-
-
-def gf_sub(f: RationalGF, g: RationalGF) -> RationalGF:
-    return gf_add(f, gf_neg(g))
 
 
 def gf_mul(f: RationalGF, g: RationalGF) -> RationalGF:

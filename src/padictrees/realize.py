@@ -34,7 +34,6 @@ from .datum import TERMINAL, TreeDatum, expand, validate
 from .errors import (
     DomainError,
     InvalidDatum,
-    LevelCap,
     NotLeafless,
     NotRealizable,
     PrecisionExhausted,
@@ -48,7 +47,6 @@ from .padic import (
     PadicApprox,
     PadicVec,
     eth_root_lift,
-    from_int,
     is_finite,
     pval,
     vec,
@@ -61,9 +59,6 @@ __all__ = [
     "WitnessCloud",
     "RealizationReport",
     "u_fn",
-    "SkeletonFns",
-    "skeleton_fns",
-    "separating_depth",
     "realize",
     "verify_realization",
 ]
@@ -173,63 +168,6 @@ def u_fn(ell: LinearFn, x: PadicVec | None, ctx: RealizationContext) -> PadicApp
             raise PrecisionExhausted("sample coordinate vanishes at working precision")
     u = _u_prep(ell, kappa, xprec, ctx)
     return PadicApprox(ctx.p, u.prec, _u_eval(u, xs, ctx.p))
-
-
-# ---------------------------------------------------------------------------
-# Skeleton functions.
-# ---------------------------------------------------------------------------
-
-
-def separating_depth(D: TreeDatum, i: int, j: int) -> LinearFn:
-    """Depth of the deepest common ancestor of joints i and j."""
-    table = D.skeleton_table
-    a = i
-    while not table.is_ancestor(a, j):
-        a = D.skeleton.parents[a]
-    return table.depth_fns[a]
-
-
-@dataclass(frozen=True)
-class SkeletonFns:
-    """The joint functions f_0 = 0, f_j = f_i + u_ell * e_slot.
-
-    ells[j] lists the (slot, ell) terms of f_j with the base depth lambda
-    already folded into ell; value(j, x, ctx=ctx) evaluates to a
-    width-tuple over the coordinates behind the reserved first one.
-    """
-
-    m: int
-    width: int
-    ells: tuple[tuple[tuple[int, LinearFn], ...], ...]
-
-    def value(self, j: int, x: PadicVec | None = None, *, ctx: RealizationContext):
-        out = [from_int(ctx.p, ctx.prec, 0)] * self.width
-        for slot, ell in self.ells[j]:
-            out[slot - 1] = out[slot - 1] + u_fn(ell, x, ctx)
-        return tuple(out)
-
-
-def skeleton_fns(D: TreeDatum) -> SkeletonFns:
-    """Skeleton functions of a datum; the base depth is lambda(kappa) =
-    kappa_m + 1 (0 when there are no parameters).
-
-    Joint j extends f_i for the latest earlier joint i whose separation
-    from j is maximal (the parent joint's depth); taking the latest such i
-    ensures that two terms sharing a slot always have distinct valuations,
-    so v(f_i - f_j) = separation + lambda holds with no cancellation.
-    """
-    if D.m == 0:
-        lam_fn = const_fn(0, 0)
-    else:
-        lam_fn = var(D.m - 1, D.m) + 1
-    table = D.skeleton_table
-    ells = [()]
-    for j in range(1, D.skeleton.num_joints):
-        i = table.i_star[j]
-        d_fn = table.depth_fns[D.skeleton.parents[j]]
-        ells.append(ells[i] + ((i + 1, d_fn + lam_fn),))
-    width = max((i + 1 for i in table.i_star[1:]), default=0)
-    return SkeletonFns(D.m, width, tuple(ells))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +311,13 @@ def _plan(memo, D, forms, lam_form, kappa, lam, rem, dim, ctx):
     Points are wanted to relative depth rem.  Side plans are built depth
     first, in the order the samples first reach them, so the first error
     raised is the one a sample-by-sample synthesis would meet first.
+
+    Joint j extends f_i, i = i_star[j], by a term at slot i + 1 whose
+    valuation is the depth of j's parent joint plus the base depth: i is
+    the latest earlier joint whose separation from j is maximal (the
+    parent joint's depth).  Taking the latest such i ensures that two terms
+    sharing a slot always have distinct valuations, so v(f_i - f_j) =
+    separation + lambda holds with no cancellation.
     """
     if rem <= 0:
         return None
@@ -487,16 +432,17 @@ def _cloud(plan, samples, shift, ctx, out):
 def realize(D: TreeDatum, depth_cap: int, p: int) -> WitnessCloud:
     """A witness cloud whose tree matches expand(D, (), p, depth_cap).
 
-    The depth must be >= 0, the datum unparametrized and of level at most
-    2, p prime, and the datum leafless; these refusals come in this order,
-    before validate's checks.
+    The depth must be >= 0, the datum unparametrized, p prime, and the
+    datum leafless; these refusals come in this order, before validate's
+    checks.  Every level the datum language admits is realized: each
+    recursion level into a side datum reserves one coordinate of its own in
+    _check_and_size, so the side fibers of different levels never share a
+    coordinate.
     """
     if depth_cap < 0:
         raise DomainError(f"realize needs a depth >= 0, not {depth_cap}")
     if D.m != 0:
         raise NotRealizable("only unparametrized data are realized")
-    if D.level > 2:
-        raise LevelCap(f"level-{D.level} datum; realization stops at level 2")
     # the width loop of _check_and_size ends only for p >= 2
     if not _is_prime(p):
         raise DomainError(f"realize needs a prime, not p = {p}")

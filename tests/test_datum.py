@@ -20,11 +20,10 @@ from padictrees.datum import (
     cusp_datum,
     expand,
     expand_counts,
-    joint_depth,
+    joint_depth_fn,
     point_datum,
     shift_datum_param,
     specialize_param,
-    spine_subtree_datum,
     star_branch,
     terminal_branch,
     validate,
@@ -43,6 +42,7 @@ from padictrees.gamma import (
     GammaSet,
     LinearFn,
     const_fn,
+    eval_linear,
     interval_cell,
     linear,
     whole_quadrant,
@@ -52,7 +52,6 @@ from padictrees.trees import (
     full_tree,
     is_isomorphic,
     path_tree,
-    subtree,
     y_tree,
 )
 
@@ -119,16 +118,16 @@ def test_side_branch_validation():
     with pytest.raises(InvalidDatum):
         star_branch(0, TERMINAL)
     br = star_branch(2, TERMINAL)
-    assert br.leaves() == [1, 2]
-    assert br.depth_of(2) == 1
+    assert list(br.leaf_nodes) == [1, 2]
+    assert br.depths[2] == 1
     assert terminal_branch().is_trivial()
     assert not br.is_trivial()
 
 
 def test_joint_depth_examples():
     D = make_single_bone(INFINITY, [(strip_piece(0), terminal_branch())], m=0)
-    assert joint_depth(D, 0) == 0
-    assert joint_depth(D, 1) is INFINITY
+    assert eval_linear(joint_depth_fn(D, 0), ()) == 0
+    assert eval_linear(joint_depth_fn(D, 1), ()) is INFINITY
     sk = SkeletonDatum((-1, 0, 1), (const_fn(2, 1), linear([1])))
     D2 = TreeDatum(
         level=0, m=1, domain=whole_quadrant(1), rho=1, skeleton=sk,
@@ -140,7 +139,7 @@ def test_joint_depth_examples():
             (2, strip_piece(1, 3, INFINITY), terminal_branch()),
         ),
     )
-    assert joint_depth(D2, 2, (3,)) == 5
+    assert eval_linear(joint_depth_fn(D2, 2), (3,)) == 5
 
 
 def test_point_datum_expands_to_path():
@@ -393,17 +392,6 @@ def test_shift_datum_param_moves_the_parameter():
     for S in sides:
         for delta in (-1, 2):
             _assert_shift_moves_parameter(S, delta, range(6), cap=4)
-
-
-def test_spine_subtree_datum():
-    for p, lam, cap in ((3, 2, 5), (5, 3, 4), (5, 4, 4)):
-        D = cusp_datum(p)
-        t = expand(D, (), p, lam + cap)
-        # the spine node is built first, so it is index 0 in every layer
-        below = subtree(t, (lam, 0), cap)
-        D2 = spine_subtree_datum(D, lam)
-        assert is_isomorphic(below, expand(D2, (), p, cap))
-    assert spine_subtree_datum(cusp_datum(3), 0) == cusp_datum(3)
 
 
 def test_bone_splitting_invariance():

@@ -84,7 +84,7 @@ def test_side_branch_tables():
     br = SideBranchDatum((-1, 0, 0, 1, 3), (TERMINAL, TERMINAL))
     assert br.kids == ((1, 2), (3,), (), (4,), ())
     assert br.depths == (0, 1, 1, 2, 3)
-    assert br.leaves() == [2, 4] and br.depth_of(4) == 3
+    assert br.leaf_nodes == (2, 4)
     sk = SkeletonDatum((-1, 0, 0, 1), (const_fn(1, 0),) * 3)
     assert sk.kids == ((1, 2), (3,), (), ())
 

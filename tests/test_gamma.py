@@ -18,14 +18,12 @@ from padictrees.gamma import (
     cell_nonempty,
     const_fn,
     eval_linear,
-    gamma_set,
     interval_cell,
     linear,
     members,
-    point_set,
     whole_quadrant,
 )
-from padictrees.ratfun import RationalGF, gf_equal, gf_geometric, gf_monomial
+from padictrees.ratfun import RationalGF, gf_equal, gf_geometric
 
 
 def expand_box(f: RationalGF, box):
@@ -115,12 +113,12 @@ def test_cell_validation():
 def test_members_and_disjointness():
     c1 = interval_cell(0, INFINITY, 0, 2)
     c2 = interval_cell(1, INFINITY, 1, 2)
-    s = gamma_set([c1, c2])
+    s = GammaSet((c1, c2), 1)
     assert members(s, [6]) == [(k,) for k in range(7)]
     with pytest.raises(DomainError):
-        gamma_set([c1, interval_cell(0, 4)])
-    assert point_set((2, 3)).contains((2, 3))
-    assert not point_set((2, 3)).contains((2, 4))
+        GammaSet((c1, interval_cell(0, 4)), 1)
+    assert cell([(2, 2), (3, 3)]).contains((2, 3))
+    assert not cell([(2, 2), (3, 3)]).contains((2, 4))
     assert whole_quadrant(2).contains((0, 7))
 
 
@@ -236,7 +234,7 @@ def test_gf_matches_membership_with_descending_inner_bounds():
 
 
 def test_gammaset_gf_adds_cells():
-    s = gamma_set([interval_cell(0, INFINITY, 0, 2), interval_cell(1, INFINITY, 1, 2)])
+    s = GammaSet((interval_cell(0, INFINITY, 0, 2), interval_cell(1, INFINITY, 1, 2)), 1)
     f = cell_gf(s)
     assert gf_equal(f, gf_geometric(("Y1",), (1, (1,))))
 
@@ -245,7 +243,7 @@ def test_cell_json_round_trip():
     c = cell([(1, 7), (linear(["1/2"], 1), INFINITY)], [(1, 2), (0, 3)])
     c2 = GammaCell.from_json(c.to_json())
     assert c2 == c
-    s = gamma_set([c])
+    s = GammaSet((c,), 2)
     assert GammaSet.from_json(s.to_json()) == s
 
 

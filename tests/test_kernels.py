@@ -12,7 +12,6 @@ from datum_gen import _joint_depths, sample_data
 from padictrees.datum import (
     SkeletonDatum,
     TreeDatum,
-    joint_depth,
     joint_depth_fn,
     terminal_branch,
     y_datum,
@@ -103,7 +102,6 @@ def test_joint_depth_fn_matches_generated_depths():
                 assert fn is INFINITY
             else:
                 assert eval_linear(fn, ()) == want[j]
-                assert joint_depth(D, j) == want[j]
 
 
 def _ancestors(parents, j):
@@ -146,7 +144,7 @@ def test_joint_depth_fn_parametrized():
     fn = joint_depth_fn(D, 1)
     assert fn == LinearFn((Fraction(1, 2),), Fraction(1))
     for k in range(0, 12, 2):
-        assert joint_depth(D, 1, (k,)) == k // 2 + 1
+        assert eval_linear(fn, (k,)) == k // 2 + 1
     assert joint_depth_fn(D, 2) is INFINITY
 
 

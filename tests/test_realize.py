@@ -3,12 +3,12 @@
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 
-from datum_gen import random_leafless_datum, sample_data
+from datum_gen import _joint_depths, _random_skeleton, random_leafless_datum, sample_data
 from padictrees.datum import (
-    SideBranchDatum,
     SkeletonDatum,
     TERMINAL,
     TreeDatum,
@@ -23,24 +23,20 @@ from padictrees.datum import (
 )
 from padictrees.errors import (
     DomainError,
-    LevelCap,
     NotLeafless,
     NotRealizable,
 )
-from padictrees.gamma import INFINITY, const_fn, linear, whole_quadrant
-from padictrees.padic import PadicApprox, from_int, pval, val, vec, vvec
+from padictrees.gamma import INFINITY, cell, const_fn, eval_linear, linear, whole_quadrant
+from padictrees.padic import is_finite, pval, val, vec, vvec
 from padictrees.realize import (
     PREC_LIMIT,
     RealizationContext,
     WitnessCloud,
     _u_prep,
     realize,
-    separating_depth,
-    skeleton_fns,
     u_fn,
     verify_realization,
 )
-from padictrees.trees import Ball, from_points, is_isomorphic
 
 
 def test_u_fn_integer_linear():
@@ -176,20 +172,42 @@ def test_u_fn_residues_where_p_divides_e(p, a, b, rows):
         assert (u.residue, u.prec) == (residue, prec), coords
 
 
-def test_skeleton_separation_depths():
-    # skeleton of Y(3): the two branch joints separate at depth 3
-    D = y_datum(3, m=0)
-    sep = separating_depth(D, 2, 3)
-    assert sep.value(()) == 3
-    fns = skeleton_fns(D)
-    ctx = RealizationContext(5, 20)
-    vals = [fns.value(j, ctx=ctx) for j in range(4)]
-    # distinct virtual joints must differ exactly at the separation depth
-    d23 = min(
-        v if isinstance(v, int) else 99
-        for v in [val(a - b) for a, b in zip(vals[2], vals[3])]
+def _skeleton_datum(sk):
+    """The level-0 datum of a skeleton whose leaves follow infinite bones,
+    with root-only side branches everywhere."""
+    depths = _joint_depths(sk)
+    bones = []
+    for j in range(1, sk.num_joints):
+        lo = depths[sk.parents[j]] + 1
+        hi = INFINITY if depths[j] is None else depths[j] - 1
+        if hi is INFINITY or hi >= lo:
+            bones.append((j, cell([(lo, hi)]), terminal_branch()))
+    return TreeDatum(
+        level=0, m=0, domain=whole_quadrant(0), rho=1, skeleton=sk,
+        joint_branches=tuple((j, terminal_branch()) for j in sk.real_joints()),
+        bone_branches=tuple(bones),
     )
-    assert d23 == 3
+
+
+def test_skeleton_separation_depths():
+    # the points of two virtual joints differ exactly at the depth of their
+    # deepest common ancestor: the terms stacked along i_star never cancel,
+    # and those at or below the truncation depth are left out
+    rng = random.Random(23)
+    cases = [(y_datum(3, m=0), 5, 8)] + [
+        (_skeleton_datum(_random_skeleton(rng, 8)), 3, 7) for _ in range(30)
+    ]
+    for D, p, cap in cases:
+        cloud = realize(D, cap, p=p)
+        f = {tag: x for x, tag in zip(cloud.points, cloud.provenance) if "/" not in tag}
+        table, parents = D.skeleton_table, D.skeleton.parents
+        for i, j in combinations(sorted(int(tag[1:]) for tag in f), 2):
+            a = i
+            while not table.is_ancestor(a, j):
+                a = parents[a]
+            sep = eval_linear(table.depth_fns[a], ())
+            diff = [v for v in map(val, (f[f"f{i}"] - f[f"f{j}"]).coords) if is_finite(v)]
+            assert min(diff, default=cap) == min(sep, cap), (D, i, j)
 
 
 def test_realize_point_is_path():
@@ -312,9 +330,17 @@ def test_realize_rejects_parametrized():
         realize(y_datum(linear([1]), m=1), 4, p=3)
 
 
-def test_realize_rejects_level_3():
-    with pytest.raises(LevelCap):
-        realize(zpn_datum(3, 2), 3, p=2)
+def test_realize_level_3():
+    # one coordinate per recursion level: the tree of Z_p^3 is realized
+    for D, p, cap, size in (
+        (zpn_datum(3, 2), 2, 3, 813),
+        (zpn_datum(3, 2), 2, 5, 39285),
+        (zpn_datum(3, 3), 3, 3, 33437),
+    ):
+        cloud = realize(D, cap, p=p)
+        assert len(cloud.points) == size
+        report = verify_realization(cloud, D, p, cap)
+        assert report.ok, report.message
 
 
 def test_realize_rejects_leafy_datum():
